@@ -9,13 +9,13 @@ Workloads: table2-layers, session-zoo (see perfbench/README.md).
 --trace 0 prints the end-to-end metrics of the named workload; --trace 1 the
 per-layer metrics of every program area plus the named workload's tracing
 overhead, and writes the spans to the build directory. The fixed workload
-parameters come from perfbench/config.json.
+parameters are constants in perfbench/src/harness.h; the binary prints them.
 
 The harness is configured and built with CMake into $CARGO_TARGET_DIR
 (default .bench_build)/perfbench; build output goes to stderr. The last line
-of standard output is the run's JSON result. A host fingerprint line is
-printed before it and every result is appended to results.jsonl in the build
-directory.
+of standard output is the run's JSON result. A host fingerprint line (with
+the binary's fixed parameters) is printed before it and every result is
+appended to results.jsonl in the build directory.
 """
 import argparse
 import json
@@ -58,7 +58,7 @@ def git_commit():
     return head or "unknown"
 
 
-def fingerprint(args, threads, config):
+def fingerprint(args, params):
     cpu = ""
     flags = set()
     for line in read("/proc/cpuinfo").splitlines():
@@ -82,14 +82,11 @@ def fingerprint(args, threads, config):
         "avx512_vnni": "avx512_vnni" in flags,
         "amx_int8": "amx_int8" in flags,
         "amx_tile": "amx_tile" in flags,
-        "threads": threads,
         "workload": args.workload,
         "seed": args.seed,
         "seconds": args.seconds,
         "trace": args.trace,
-        "table2_batch": config["table2_batch"],
-        "zoo_batch": config["zoo_batch"],
-        "serve_max_batch": config["serve_max_batch"],
+        **params,
         "commit": git_commit(),
     }
 
@@ -111,8 +108,6 @@ def main():
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args()
 
-    with open(os.path.join(HERE, "config.json")) as f:
-        config = json.load(f)
     target = os.environ.get("CARGO_TARGET_DIR", ".bench_build")
     if not os.path.isabs(target):
         target = os.path.join(ROOT, target)
@@ -123,13 +118,10 @@ def main():
         print(f"perfbench: build failed ({e})", file=sys.stderr)
         return 2
 
-    threads = nproc()
     trace_out = os.path.join(build_dir, f"trace-{args.workload}-{args.seed}.json")
     cmd = [binary, "--workload", args.workload, "--seed", str(args.seed),
            "--seconds", repr(args.seconds), "--trace", str(args.trace),
-           "--threads", str(threads), "--trace-out", trace_out]
-    for name, value in sorted(config.items()):
-        cmd += ["--param", f"{name}={value}"]
+           "--trace-out", trace_out]
     proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True, cwd=ROOT)
     lines = proc.stdout.splitlines()
     if proc.returncode != 0 or not lines:
@@ -137,11 +129,14 @@ def main():
         print(f"perfbench: run failed with exit code {proc.returncode}", file=sys.stderr)
         return proc.returncode or 1
     result = json.loads(lines[-1])
-    host = fingerprint(args, threads, config)
+    params = next((json.loads(line)["params"] for line in lines
+                   if line.startswith('{"params"')), {})
+    host = fingerprint(args, params)
     with open(os.path.join(build_dir, "results.jsonl"), "a") as f:
         f.write(json.dumps({"host": host, "result": result}) + "\n")
     for line in lines[:-1]:
-        print(line)
+        if not line.startswith('{"params"'):
+            print(line)
     print(json.dumps({"host": host}))
     print(lines[-1])
     return 0

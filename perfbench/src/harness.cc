@@ -1,5 +1,6 @@
 #include "harness.h"
 
+#include <sched.h>
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -7,17 +8,20 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <stdexcept>
+#include <thread>
 
 #include "common/rng.h"
 #include "profile/profiler.h"
 
 namespace perfbench {
 
-double RunArgs::param(const std::string& name) const {
-  const auto it = params.find(name);
-  if (it == params.end()) throw std::runtime_error("missing --param " + name);
-  return it->second;
+std::size_t nproc() {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return static_cast<std::size_t>(std::max(1, CPU_COUNT(&set)));
+  }
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 std::uint64_t derive_seed(std::uint64_t seed, const std::string& label) {

@@ -1,4 +1,5 @@
-// Shared pieces of the perfbench harness: run parameters, the result record
+// Shared pieces of the perfbench harness: run arguments and the fixed
+// workload parameters, the result record
 // (end-to-end and per-layer metrics, operation counts), latency statistics,
 // seeded input generation and the in-memory span tracer.
 //
@@ -6,14 +7,17 @@
 // public functions; nothing in src/ is instrumented for the benchmark.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
-#include <map>
+#include <limits>
 #include <mutex>
 #include <string>
 #include <vector>
 
+#include "common/timer.h"
+#include "profile/profiler.h"
 #include "tensor/tensor.h"
 
 namespace perfbench {
@@ -29,23 +33,55 @@ inline double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
 }
 
-/// Fixed workload parameters (perfbench/config.json, passed in by run.py as
-/// `--param name=value`) plus the per-run arguments.
+/// Per-run arguments (the command line).
 struct RunArgs {
   std::string workload;
   std::uint64_t seed = 0;
   double seconds = 0.0;
   bool trace = false;
   std::string trace_path;  ///< where the traced run writes its spans
-  std::size_t threads = 0; ///< nproc: pool size of the multi-threaded workloads
-  std::map<std::string, double> params;
-
-  /// Throws std::runtime_error when the parameter is missing.
-  double param(const std::string& name) const;
-  std::size_t count(const std::string& name) const {
-    return static_cast<std::size_t>(param(name));
-  }
 };
+
+// Fixed workload parameters. The binary prints them on its "params" line.
+
+/// table2-layers: batch of every Table-2 layer (the batch-64 rows shrunk to
+/// keep one sweep under a second on a 4-core host).
+inline constexpr std::size_t kTable2Batch = 4;
+/// Output positions per layer checked against the FP64 direct reference.
+inline constexpr std::size_t kTable2CheckSamples = 1024;
+/// LoWino F(4x4) reaches ~18 dB on uniform random data, F(2x2) ~35 dB.
+inline constexpr double kTable2SnrFloorDb = 15.0;
+
+/// session-zoo: batch and square image size of every session. Batch 16 is
+/// the EXPERIMENTS.md zoo batch; batch 4 spread more between runs.
+inline constexpr std::size_t kZooBatch = 16;
+inline constexpr std::size_t kZooHw = 32;
+/// Distinct seeded inputs per model, served in turn.
+inline constexpr std::size_t kZooInputs = 4;
+/// Shoot-out time per candidate; 0.25 s did not stop noise-driven flips.
+inline constexpr double kZooSecondsPerCandidate = 0.05;
+/// INT8 sessions against the FP32 SequentialModel::forward.
+inline constexpr double kZooSnrFloorDb = 10.0;
+
+/// Serving probe: MiniResNet at 16x16, two one-thread workers, batches of
+/// up to four, half a millisecond of linger.
+inline constexpr std::size_t kServeHw = 16;
+inline constexpr std::size_t kServeMaxBatch = 4;
+inline constexpr std::size_t kServeWorkers = 2;
+inline constexpr std::int64_t kServeLingerNs = 500'000;
+inline constexpr double kServeSecondsPerCandidate = 0.1;
+/// Distinct seeded images the clients draw from.
+inline constexpr std::size_t kServeImages = 64;
+/// Open-loop arrival rates, req/s: about 25% and 45% of the closed-loop
+/// capacity measured on a 4-vCPU host. Absolute, never derived in the run.
+inline constexpr double kServeRateMid = 250.0;
+inline constexpr double kServeRateHigh = 450.0;
+/// Latency limit of serve.high_slo_frac.
+inline constexpr double kServeSloMs = 25.0;
+
+/// CPUs this process may run on: the pool size of the multi-threaded
+/// workloads.
+std::size_t nproc();
 
 /// Seed of the calibration batches. Calibration data is part of a model's
 /// deployment, like its weights, so it stays fixed across runs; the run seed
@@ -99,6 +135,19 @@ Quantile tail(std::vector<double> v, double cap = 0.99);
 /// Quantile q of v (nearest rank on the sorted samples).
 double quantile(std::vector<double> v, double q);
 double geomean(const std::vector<double>& v);
+
+/// Median seconds of `fn` over runs for `budget_s` seconds, after one
+/// warm-up run and at least five measured runs (lowino::time_it).
+template <typename Fn>
+double time_for(Fn&& fn, double budget_s) {
+  return lowino::time_it(fn, 1, 5, std::numeric_limits<int>::max(), budget_s).median;
+}
+
+/// Busy seconds of one stage in a profiler_stage_totals() snapshot.
+inline double stage_s(const std::array<lowino::ProfileStageTotals, lowino::kProfileStageCount>& t,
+                      lowino::ProfileStage s) {
+  return t[static_cast<std::size_t>(s)].seconds;
+}
 
 /// Peak resident set size of the process, MiB (getrusage).
 double peak_rss_mb();

@@ -1,11 +1,10 @@
 // perfbench: one seeded benchmark of LoWino, end to end and per layer.
 //
 //   perfbench --workload table2-layers|session-zoo --seed N
-//             --seconds S --trace 0|1 [--threads T] [--trace-out FILE]
-//             --param name=value ...
+//             --seconds S --trace 0|1 [--trace-out FILE]
 //
-// perfbench/run.py builds this binary and passes the fixed parameters of
-// perfbench/config.json as --param flags. The untraced run (--trace 0)
+// perfbench/run.py builds and runs this binary. The fixed workload
+// parameters are constants in harness.h. The untraced run (--trace 0)
 // measures the named workload and reports its end-to-end metrics; the traced
 // run (--trace 1) profiles every program area (the Table-2 layers, the zoo
 // sessions, the batching server) with spans and the library's stage
@@ -15,7 +14,8 @@
 //
 //   {"correct": true, "attempted": N, "failed": 0, "metrics": {...}}
 //
-// preceded, in untraced runs, by a {"detail": {...}} line with the
+// preceded by a {"params": {...}} line with the fixed parameters and the
+// pool size and, in untraced runs, by a {"detail": {...}} line with the
 // per-workload named and diagnostic values. Exit code 0 when the run completed
 // (whatever the checks found).
 #include <cmath>
@@ -23,7 +23,6 @@
 #include <exception>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "harness.h"
 
@@ -34,7 +33,6 @@ RunArgs parse(int argc, char** argv) {
   RunArgs a;
   a.seed = 1;
   a.seconds = 10.0;
-  a.threads = std::max(1u, std::thread::hardware_concurrency());
   for (int i = 1; i < argc; ++i) {
     const std::string flag = argv[i];
     if (i + 1 >= argc) throw std::invalid_argument("missing value for " + flag);
@@ -49,12 +47,6 @@ RunArgs parse(int argc, char** argv) {
       a.trace = value == "1";
     } else if (flag == "--trace-out") {
       a.trace_path = value;
-    } else if (flag == "--threads") {
-      a.threads = std::stoul(value);
-    } else if (flag == "--param") {
-      const auto eq = value.find('=');
-      if (eq == std::string::npos) throw std::invalid_argument("--param wants name=value");
-      a.params[value.substr(0, eq)] = std::stod(value.substr(eq + 1));
     } else {
       throw std::invalid_argument("unknown flag " + flag);
     }
@@ -76,8 +68,18 @@ void print_metrics(const std::vector<Result::Metric>& ms) {
   }
 }
 
+void print_params() {
+  std::printf(
+      "{\"params\": {\"threads\": %zu, \"table2_batch\": %zu, \"zoo_batch\": %zu, "
+      "\"zoo_hw\": %zu, \"serve_max_batch\": %zu, \"serve_workers\": %zu, "
+      "\"serve_rate_mid\": %g, \"serve_rate_high\": %g, \"serve_slo_ms\": %g}}\n",
+      nproc(), kTable2Batch, kZooBatch, kZooHw, kServeMaxBatch, kServeWorkers, kServeRateMid,
+      kServeRateHigh, kServeSloMs);
+}
+
 int run(const RunArgs& args) {
   Result result;
+  print_params();
   if (!args.trace) {
     if (args.workload == "table2-layers") run_table2(args, result);
     if (args.workload == "session-zoo") run_zoo(args, result);

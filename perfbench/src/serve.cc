@@ -38,27 +38,25 @@ struct Serve {
   std::unique_ptr<BatchingServer> server;
   std::vector<Tensor<float>> images;        ///< 1 x 1 x hw x hw each
   std::vector<std::vector<float>> refs;     ///< expected output per image
-  double slo_ms = 0.0;
   std::atomic<std::uint64_t> next_request{0};
 };
 
 void make_serve(const RunArgs& args, Serve& s) {
-  const std::size_t hw = args.count("serve_hw");
-  s.model = lowino::make_miniresnet(hw);
-  s.options.max_batch = args.count("serve_max_batch");
-  s.options.num_workers = args.count("serve_workers");
+  s.model = lowino::make_miniresnet(kServeHw);
+  s.options.max_batch = kServeMaxBatch;
+  s.options.num_workers = kServeWorkers;
   s.options.threads_per_worker = 1;
-  s.options.linger_ns = static_cast<lowino::Nanos>(1e3 * args.param("serve_linger_us"));
+  s.options.linger_ns = kServeLingerNs;
   s.options.plan.candidates = {EngineKind::kInt8Direct,  EngineKind::kLoWinoF2,
                                EngineKind::kLoWinoF4,    EngineKind::kLoWinoF6,
                                EngineKind::kInt8Conv1x1, EngineKind::kInt8Depthwise};
-  s.options.plan.seconds_per_candidate = args.param("serve_seconds_per_candidate");
-  s.calib = random_tensor({s.options.max_batch, 1, hw, hw}, derive_seed(kCalibSeed, "serve.calib"));
-  for (std::size_t i = 0; i < args.count("serve_images"); ++i) {
-    s.images.push_back(
-        random_tensor({1, 1, hw, hw}, derive_seed(args.seed, "serve.image." + std::to_string(i))));
+  s.options.plan.seconds_per_candidate = kServeSecondsPerCandidate;
+  s.calib = random_tensor({kServeMaxBatch, 1, kServeHw, kServeHw},
+                          derive_seed(kCalibSeed, "serve.calib"));
+  for (std::size_t i = 0; i < kServeImages; ++i) {
+    s.images.push_back(random_tensor({1, 1, kServeHw, kServeHw},
+                                     derive_seed(args.seed, "serve.image." + std::to_string(i))));
   }
-  s.slo_ms = args.param("serve_slo_ms");
 }
 
 /// Constructs the server (compile + replay + worker start); returns seconds.
@@ -193,7 +191,7 @@ Phase run_phase(Serve& s, double rate, double seconds, const std::string& label,
               break;
             }
             ++cl.p.ok;
-            cl.p.ok_within += ms <= s.slo_ms ? 1 : 0;
+            cl.p.ok_within += ms <= kServeSloMs ? 1 : 0;
             cl.p.latency_ms.push_back(ms);
             break;
           case ServeResult::kQueueFull:
@@ -238,16 +236,12 @@ void probe_serve(const RunArgs& args, double seconds, TraceSession& trace, Resul
   // and batch 1 (planned by the normal planner).
   const auto median_run_ms = [&](InferenceSession& session, const Tensor<float>& in) {
     Tensor<float> out;
-    session.run(in, out);
-    std::vector<double> ms;
-    const auto t0 = Clock::now();
-    while (seconds_since(t0) < 0.05 * seconds || ms.size() < 5) {
-      SpanScope span(trace.active(), "InferenceSession::run");
-      const auto r0 = Clock::now();
-      session.run(in, out);
-      ms.push_back(1e3 * seconds_since(r0));
-    }
-    return median(ms);
+    return 1e3 * time_for(
+                     [&] {
+                       SpanScope span(trace.active(), "InferenceSession::run");
+                       session.run(in, out);
+                     },
+                     0.05 * seconds);
   };
   result.info("serve.batch_b4_ms", median_run_ms(ref, s.calib), "ms");
   {
@@ -258,9 +252,9 @@ void probe_serve(const RunArgs& args, double seconds, TraceSession& trace, Resul
   }
 
   run_phase(s, 0.0, 0.2, "warmup", args.seed, result, trace.active());  // checked
-  const Phase mid = run_phase(s, args.param("serve_rate_mid"), 0.35 * seconds, "mid", args.seed,
+  const Phase mid = run_phase(s, kServeRateMid, 0.35 * seconds, "mid", args.seed,
                               result, trace.active());
-  const Phase high = run_phase(s, args.param("serve_rate_high"), 0.35 * seconds, "high",
+  const Phase high = run_phase(s, kServeRateHigh, 0.35 * seconds, "high",
                                args.seed, result, trace.active());
   const Phase closed = run_phase(s, 0.0, 0.2 * seconds, "closed", args.seed, result,
                                  trace.active());

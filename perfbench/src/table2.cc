@@ -41,7 +41,6 @@ struct Layer {
 struct Table2 {
   std::vector<Layer> layers;
   std::vector<float> out;  ///< shared output buffer (largest layer)
-  double snr_floor_db = 0.0;
 };
 
 /// Direct convolution at one output position, accumulated in double.
@@ -73,10 +72,9 @@ float direct_at(const Layer& l, std::size_t flat) {
 
 Table2 make_data(const RunArgs& args) {
   Table2 t;
-  t.snr_floor_db = args.param("table2_snr_floor_db");
-  const std::size_t n_samples = args.count("table2_check_samples");
+  const std::size_t n_samples = kTable2CheckSamples;
   std::size_t max_out = 0;
-  for (const lowino::PaperLayer& pl : lowino::paper_layers_table2(args.count("table2_batch"))) {
+  for (const lowino::PaperLayer& pl : lowino::paper_layers_table2(kTable2Batch)) {
     Layer l;
     l.name = pl.name;
     l.metric = "conv." + pl.name + ".ms";
@@ -121,11 +119,11 @@ double build_engines(Table2& t) {
 /// Output check, outside the timed region: the first run of a layer must
 /// reach the SNR floor against the FP64 direct reference; every later run
 /// must reproduce the first run bit for bit.
-bool check(Layer& l, const std::vector<float>& out, double floor_db) {
+bool check(Layer& l, const std::vector<float>& out) {
   std::vector<float> got(l.samples.size());
   for (std::size_t i = 0; i < l.samples.size(); ++i) got[i] = out[l.samples[i]];
   if (l.first.empty()) {
-    if (!(snr_db(l.ref.data(), got.data(), got.size()) >= floor_db)) return false;
+    if (!(snr_db(l.ref.data(), got.data(), got.size()) >= kTable2SnrFloorDb)) return false;
     l.first = std::move(got);
     return true;
   }
@@ -155,7 +153,7 @@ double sweep(Table2& t, ThreadPool& pool, Result& result, Tracer* tracer, bool r
       }
       sec = seconds_since(t0);
     }
-    const bool correct = !ok || check(l, t.out, t.snr_floor_db);
+    const bool correct = !ok || check(l, t.out);
     if (!ok || !correct) ++result.failed;
     if (!correct) ++result.wrong;
     total += sec;
@@ -169,7 +167,7 @@ double direct_gops(const Layer& l, double ms) { return 2.0 * l.desc.direct_macs(
 }  // namespace
 
 void run_table2(const RunArgs& args, Result& result) {
-  ThreadPool pool(args.threads);
+  ThreadPool pool(nproc());
   Table2 t = make_data(args);
   const double setup_s = build_engines(t);
   sweep(t, pool, result, nullptr, /*record=*/false);  // warm-up, checked
@@ -205,7 +203,7 @@ void run_table2(const RunArgs& args, Result& result) {
 
 double probe_table2(const RunArgs& args, double seconds, TraceSession& trace, Result& result,
                     bool overhead) {
-  ThreadPool pool(args.threads);
+  ThreadPool pool(nproc());
   Table2 t = make_data(args);
 
   trace.enable(true);
@@ -215,9 +213,6 @@ double probe_table2(const RunArgs& args, double seconds, TraceSession& trace, Re
     build_engines(t);
   }
   const auto setup_totals = lowino::profiler_stage_totals();
-  const auto stage_s = [](const auto& totals, lowino::ProfileStage s) {
-    return totals[static_cast<std::size_t>(s)].seconds;
-  };
   result.info("lowino.filter_pack_s", stage_s(setup_totals, lowino::ProfileStage::kFilterPack),
               "s");
   result.info("lowino.calibration_s", stage_s(setup_totals, lowino::ProfileStage::kCalibration),

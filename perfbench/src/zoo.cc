@@ -45,17 +45,14 @@ struct Zoo {
   std::vector<Model> models;
   Tensor<float> calib;
   lowino::PlanOptions options;
-  double snr_floor_db = 0.0;
 };
 
 Zoo make_zoo(const RunArgs& args, ThreadPool& pool) {
   Zoo z;
-  const std::size_t batch = args.count("zoo_batch"), hw = args.count("zoo_hw");
-  z.snr_floor_db = args.param("zoo_snr_floor_db");
-  z.calib = random_tensor({batch, 1, hw, hw}, derive_seed(kCalibSeed, "zoo.calib"));
+  z.calib = random_tensor({kZooBatch, 1, kZooHw, kZooHw}, derive_seed(kCalibSeed, "zoo.calib"));
   z.options.candidates.assign(std::begin(kCandidates), std::end(kCandidates));
   z.options.pool = &pool;
-  z.options.seconds_per_candidate = args.param("zoo_seconds_per_candidate");
+  z.options.seconds_per_candidate = kZooSecondsPerCandidate;
   const std::pair<const char*, SequentialModel (*)(std::size_t)> zoo[] = {
       {"minivgg", [](std::size_t hw) { return lowino::make_minivgg(hw); }},
       {"miniresnet", [](std::size_t hw) { return lowino::make_miniresnet(hw); }},
@@ -63,9 +60,9 @@ Zoo make_zoo(const RunArgs& args, ThreadPool& pool) {
   for (const auto& [name, make] : zoo) {
     Model m;
     m.name = name;
-    m.model = make(hw);
-    for (std::size_t i = 0; i < args.count("zoo_inputs"); ++i) {
-      m.inputs.push_back(random_tensor({batch, 1, hw, hw},
+    m.model = make(kZooHw);
+    for (std::size_t i = 0; i < kZooInputs; ++i) {
+      m.inputs.push_back(random_tensor({kZooBatch, 1, kZooHw, kZooHw},
                                        derive_seed(args.seed, "zoo.input." + std::to_string(i))));
       m.fp32.push_back(m.model.forward(m.inputs.back()));
     }
@@ -91,7 +88,7 @@ double compile_all(Zoo& z, Tracer* tracer) {
 /// Runs one model on input `i`; returns seconds. The output check runs after
 /// the clock stops: the first output for an input must reach the SNR floor
 /// against SequentialModel::forward, later ones must equal it bit for bit.
-double run_once(Zoo& z, Model& m, std::size_t i, Tensor<float>& out, Result& result,
+double run_once(Model& m, std::size_t i, Tensor<float>& out, Result& result,
                 Tracer* tracer, std::uint64_t request) {
   ++result.attempted;
   bool ok = true;
@@ -110,7 +107,7 @@ double run_once(Zoo& z, Model& m, std::size_t i, Tensor<float>& out, Result& res
   if (ok && out.size() != m.fp32[i].size()) {
     correct = false;
   } else if (ok && m.first[i].empty()) {
-    correct = snr_db(m.fp32[i].data(), out.data(), out.size()) >= z.snr_floor_db;
+    correct = snr_db(m.fp32[i].data(), out.data(), out.size()) >= kZooSnrFloorDb;
     if (correct) m.first[i].assign(out.data(), out.data() + out.size());
   } else if (ok) {
     correct = std::memcmp(out.data(), m.first[i].data(), out.size() * sizeof(float)) == 0;
@@ -130,7 +127,7 @@ void round_robin(Zoo& z, double seconds, std::size_t min_rounds, Result& result,
        ++r) {
     Model& m = z.models[r % z.models.size()];
     const std::size_t i = (r / z.models.size()) % m.inputs.size();
-    const double sec = run_once(z, m, i, out, result, tracer, r);
+    const double sec = run_once(m, i, out, result, tracer, r);
     if (record) m.ms.push_back(1e3 * sec);
   }
 }
@@ -163,7 +160,7 @@ double planned_macs(Model& m) {
 }  // namespace
 
 void run_zoo(const RunArgs& args, Result& result) {
-  ThreadPool pool(args.threads);
+  ThreadPool pool(nproc());
   Zoo z = make_zoo(args, pool);
   const double setup_s = compile_all(z, nullptr);
   for (const Model& m : z.models) {
@@ -192,12 +189,9 @@ void run_zoo(const RunArgs& args, Result& result) {
 
 double probe_zoo(const RunArgs& args, double seconds, TraceSession& trace, Result& result,
                  bool overhead) {
-  ThreadPool pool(args.threads);
+  ThreadPool pool(nproc());
   Zoo z = make_zoo(args, pool);
   const std::size_t threads = pool.num_threads();
-  const auto stage_s = [](const auto& totals, lowino::ProfileStage s) {
-    return totals[static_cast<std::size_t>(s)].seconds;
-  };
 
   trace.enable(true);
   compile_all(z, trace.active());
@@ -224,7 +218,7 @@ double probe_zoo(const RunArgs& args, double seconds, TraceSession& trace, Resul
     std::size_t runs = 0;
     const auto t0 = Clock::now();
     while (seconds_since(t0) < per_model || runs < 3) {
-      run_once(z, m, runs % m.inputs.size(), out, result, trace.active(), runs);
+      run_once(m, runs % m.inputs.size(), out, result, trace.active(), runs);
       ++runs;
     }
     const double wall_s = seconds_since(t0);
@@ -273,14 +267,8 @@ double probe_zoo(const RunArgs& args, double seconds, TraceSession& trace, Resul
         engine->finalize_calibration();
       }
       engine->set_filters(convs[i]->weights(), convs[i]->bias());
-      std::vector<double> ms;
-      const auto t0 = Clock::now();
-      while (seconds_since(t0) < 0.01 * seconds || ms.size() < 5) {
-        const auto r0 = Clock::now();
-        engine->run(in.span(), out, &pool);
-        ms.push_back(1e3 * seconds_since(r0));
-      }
-      result.info("engine." + m.name + ".conv" + std::to_string(i) + ".ms", median(ms), "ms");
+      const double ms = 1e3 * time_for([&] { engine->run(in.span(), out, &pool); }, 0.01 * seconds);
+      result.info("engine." + m.name + ".conv" + std::to_string(i) + ".ms", ms, "ms");
     }
   }
 
@@ -297,16 +285,8 @@ double probe_zoo(const RunArgs& args, double seconds, TraceSession& trace, Resul
         continue;  // the candidate cannot run some conv of this model
       }
       Tensor<float> out;
-      s->run(m.inputs[0], out);
-      std::vector<double> ms;
-      const auto t0 = Clock::now();
-      while (seconds_since(t0) < 0.01 * seconds || ms.size() < 5) {
-        const auto r0 = Clock::now();
-        s->run(m.inputs[0], out);
-        ms.push_back(1e3 * seconds_since(r0));
-      }
-      const double med = median(ms);
-      if (best == 0.0 || med < best) best = med;
+      const double ms = 1e3 * time_for([&] { s->run(m.inputs[0], out); }, 0.01 * seconds);
+      if (best == 0.0 || ms < best) best = ms;
     }
     // No single candidate covers MiniMobileNet (depthwise + 1x1 layers).
     if (best > 0.0) result.info("session." + m.name + ".best_uniform_ms", best, "ms");
@@ -320,9 +300,9 @@ double probe_zoo(const RunArgs& args, double seconds, TraceSession& trace, Resul
   for (std::uint64_t r = 0; seconds_since(o0) < 0.3 * seconds || ratios.size() < 30; ++r) {
     Model& m = z.models[r % z.models.size()];
     const std::size_t i = (r / z.models.size()) % m.inputs.size();
-    const double off = run_once(z, m, i, out, result, nullptr, r);
+    const double off = run_once(m, i, out, result, nullptr, r);
     trace.enable(true);
-    const double on = run_once(z, m, i, out, result, trace.active(), r);
+    const double on = run_once(m, i, out, result, trace.active(), r);
     trace.enable(false);
     ratios.push_back(on / off);
   }

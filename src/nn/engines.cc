@@ -73,19 +73,7 @@ std::size_t lowino_calibration_stride(std::size_t total_tiles) {
   return total_tiles < kCalibDenseTileLimit ? 1 : 2;
 }
 
-// Deprecated shims (see engines.h): the kind-invariant EngineCaps bits,
-// answered straight from the registry.
-bool engine_is_quantized(EngineKind kind) { return engine_registration(kind).quantized; }
-
-bool engine_supports_post_ops(EngineKind kind) {
-  return engine_registration(kind).post_ops;
-}
-
 bool post_op_fusion_enabled() { return config_flag("LOWINO_FUSE_POSTOPS", true); }
-
-bool engine_supports_u8_handoff(EngineKind kind) {
-  return engine_registration(kind).u8_handoff;
-}
 
 bool u8_handoff_enabled() { return config_flag("LOWINO_U8_HANDOFF", true); }
 
@@ -142,34 +130,16 @@ void ConvEngine::set_filters(std::span<const float> weights, std::span<const flo
 }
 
 void ConvEngine::run(std::span<const float> input, std::span<float> output,
-                     ThreadPool* pool) {
-  if (state_ != Lifecycle::kReady) {
-    misuse("run() before set_filters()");
-  }
-  do_run(input, output, pool);
-}
-
-void ConvEngine::run(std::span<const float> input, std::span<float> output,
                      ThreadPool* pool, const PostOps& post) {
   if (state_ != Lifecycle::kReady) {
     misuse("run() before set_filters()");
   }
-  if (post.none()) {
-    do_run(input, output, pool);
-    return;
-  }
-  if (!supports_post_ops()) {
+  if (!post.none() && !supports_post_ops()) {
     misuse("run() with a fused PostOps epilogue on an engine that does not "
            "support post-ops — check supports_post_ops() and fall back to "
            "unfused execution");
   }
-  do_run_post(input, output, pool, post);
-}
-
-void ConvEngine::do_run_post(std::span<const float>, std::span<float>, ThreadPool*,
-                             const PostOps&) {
-  misuse("do_run_post() not implemented despite engine_supports_post_ops() — "
-         "the capability table and the engine wrapper disagree");
+  do_run(input, output, pool, post);
 }
 
 void ConvEngine::set_input_u8(const QuantParams& qp) {
@@ -215,17 +185,17 @@ void ConvEngine::run_typed(const void* input, void* output, ThreadPool* pool,
 }
 
 void ConvEngine::do_set_input_u8(const QuantParams&) {
-  misuse("do_set_input_u8() not implemented despite engine_supports_u8_handoff() "
+  misuse("do_set_input_u8() not implemented despite EngineCaps::u8_handoff "
          "— the capability table and the engine wrapper disagree");
 }
 
 void ConvEngine::do_set_output_u8(const QuantParams&) {
-  misuse("do_set_output_u8() not implemented despite engine_supports_u8_handoff() "
+  misuse("do_set_output_u8() not implemented despite EngineCaps::u8_handoff "
          "— the capability table and the engine wrapper disagree");
 }
 
 void ConvEngine::do_run_typed(const void*, void*, ThreadPool*, const PostOps&) {
-  misuse("do_run_typed() not implemented despite engine_supports_u8_handoff() — "
+  misuse("do_run_typed() not implemented despite EngineCaps::u8_handoff — "
          "the capability table and the engine wrapper disagree");
 }
 
@@ -245,11 +215,8 @@ class Fp32DirectEngine final : public ConvEngine {
   void do_set_filters(std::span<const float> w, std::span<const float> b) override {
     conv_.set_filters(w, b);
   }
-  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool) override {
-    conv_.execute_nchw(in, out, pool);
-  }
-  void do_run_post(std::span<const float> in, std::span<float> out, ThreadPool* pool,
-                   const PostOps& post) override {
+  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool,
+              const PostOps& post) override {
     conv_.execute_nchw(in, out, pool, post);
   }
 
@@ -269,7 +236,8 @@ class Fp32WinoEngine final : public ConvEngine {
   void do_set_filters(std::span<const float> w, std::span<const float> b) override {
     conv_.set_filters(w, b);
   }
-  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool) override {
+  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool,
+              const PostOps&) override {
     conv_.execute_nchw(in, out, pool);
   }
 
@@ -289,11 +257,8 @@ class Int8DirectEngine final : public ConvEngine {
   void do_set_filters(std::span<const float> w, std::span<const float> b) override {
     conv_.set_filters(w, b);
   }
-  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool) override {
-    conv_.execute_nchw(in, out, pool);
-  }
-  void do_run_post(std::span<const float> in, std::span<float> out, ThreadPool* pool,
-                   const PostOps& post) override {
+  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool,
+              const PostOps& post) override {
     conv_.execute_nchw(in, out, pool, post);
   }
   void do_set_input_u8(const QuantParams& qp) override { conv_.set_input_u8(qp); }
@@ -324,11 +289,8 @@ class LoWinoEngine final : public ConvEngine {
   void do_set_filters(std::span<const float> w, std::span<const float> b) override {
     conv_.set_filters(w, b);
   }
-  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool) override {
-    conv_.execute_nchw(in, out, pool);
-  }
-  void do_run_post(std::span<const float> in, std::span<float> out, ThreadPool* pool,
-                   const PostOps& post) override {
+  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool,
+              const PostOps& post) override {
     conv_.execute_nchw(in, out, pool, post);
   }
   void do_set_input_u8(const QuantParams& qp) override { conv_.set_input_u8(qp); }
@@ -366,7 +328,8 @@ class DownscaleEngine final : public ConvEngine {
   void do_set_filters(std::span<const float> w, std::span<const float> b) override {
     conv_.set_filters(w, b);
   }
-  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool) override {
+  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool,
+              const PostOps&) override {
     conv_.execute_nchw(in, out, pool);
   }
 
@@ -386,7 +349,8 @@ class UpcastEngine final : public ConvEngine {
   void do_set_filters(std::span<const float> w, std::span<const float> b) override {
     conv_.set_filters(w, b);
   }
-  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool) override {
+  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool,
+              const PostOps&) override {
     conv_.execute_nchw(in, out, pool);
   }
 
@@ -405,7 +369,8 @@ class VendorEngine final : public ConvEngine {
   void do_set_filters(std::span<const float> w, std::span<const float> b) override {
     conv_.set_filters(w, b);
   }
-  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool) override {
+  void do_run(std::span<const float> in, std::span<float> out, ThreadPool* pool,
+              const PostOps&) override {
     conv_.execute_nchw(in, out, pool);
   }
 

@@ -64,31 +64,15 @@ struct EngineCaps {
   bool supports = false;    ///< accepts this ConvDesc (shape-capability gate)
 };
 
-/// The one capability query. Replaces the deprecated engine_is_quantized /
-/// engine_supports_post_ops / engine_supports_u8_handoff predicates, which
-/// could not express shape-dependent capability (1x1-only, depthwise-only
-/// engines).
+/// The one capability query: per-kind invariants plus the per-shape gate
+/// (1x1-only, depthwise-only engines).
 EngineCaps engine_caps(EngineKind kind, const ConvDesc& desc);
-
-/// Deprecated shims over engine_caps() — one-PR migration aids. They answer
-/// the kind-invariant bits only and cannot see shape capability; new code
-/// must call engine_caps(kind, desc).
-[[deprecated("use engine_caps(kind, desc).quantized")]]
-bool engine_is_quantized(EngineKind kind);
-
-/// See EngineCaps::post_ops.
-[[deprecated("use engine_caps(kind, desc).post_ops")]]
-bool engine_supports_post_ops(EngineKind kind);
 
 /// The LOWINO_FUSE_POSTOPS kill-switch (env or RuntimeConfig override,
 /// default on). When off, the session compiler and the layer runtime keep the
 /// separate element-wise bias/ReLU/sum passes — the A/B lever for measuring
 /// the fusion win.
 bool post_op_fusion_enabled();
-
-/// See EngineCaps::u8_handoff.
-[[deprecated("use engine_caps(kind, desc).u8_handoff")]]
-bool engine_supports_u8_handoff(EngineKind kind);
 
 /// The LOWINO_U8_HANDOFF kill-switch (env or RuntimeConfig override, default
 /// on). When off, the session compiler assigns FP32 to every activation edge
@@ -142,13 +126,13 @@ class ConvEngine {
   void calibrate(std::span<const float> input_nchw);
   void finalize_calibration();
   void set_filters(std::span<const float> weights, std::span<const float> bias);
-  void run(std::span<const float> input, std::span<float> output, ThreadPool* pool);
-  /// Runs with a fused PostOps epilogue. An empty `post` is identical to the
-  /// overload above; a non-empty one on an engine whose supports_post_ops()
-  /// is false throws std::logic_error — callers must consult the capability
-  /// and fall back to unfused execution plus element-wise passes themselves.
+  /// Runs on FP32 NCHW spans, with an optional fused PostOps epilogue. A
+  /// non-empty `post` on an engine whose supports_post_ops() is false throws
+  /// std::logic_error — callers must consult the capability and fall back to
+  /// unfused execution plus element-wise passes themselves. FP32 in and out
+  /// even after set_input_u8 / set_output_u8 (those configure run_typed only).
   void run(std::span<const float> input, std::span<float> output, ThreadPool* pool,
-           const PostOps& post);
+           const PostOps& post = {});
 
   /// See EngineCaps::post_ops (kind-invariant, hence no desc parameter).
   bool supports_post_ops() const;
@@ -184,12 +168,10 @@ class ConvEngine {
   virtual void do_finalize_calibration() = 0;
   virtual void do_set_filters(std::span<const float> weights,
                               std::span<const float> bias) = 0;
+  /// `post` is empty unless supports_post_ops(), so declining engines may
+  /// ignore it.
   virtual void do_run(std::span<const float> input, std::span<float> output,
-                      ThreadPool* pool) = 0;
-  /// Only dispatched when supports_post_ops() and `post` is non-empty; the
-  /// default (for declining engines) is unreachable through the public run().
-  virtual void do_run_post(std::span<const float> input, std::span<float> output,
-                           ThreadPool* pool, const PostOps& post);
+                      ThreadPool* pool, const PostOps& post) = 0;
   /// Only dispatched when supports_u8_handoff(); the defaults throw — a
   /// capable wrapper must implement all three.
   virtual void do_set_input_u8(const QuantParams& qp);

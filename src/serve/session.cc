@@ -8,7 +8,6 @@
 
 #include "common/fault.h"
 #include "common/timer.h"
-#include "direct/direct_f32.h"
 #include "gemm/fp32_gemm.h"
 #include "parallel/thread_pool.h"
 #include "profile/profiler.h"
@@ -342,6 +341,17 @@ InferenceSession InferenceSession::compile(SequentialModel& model,
     op.out = out_val;
     op.conv = &conv;
     op.label = conv.name();
+    if (!conv.quantizable()) {
+      // Non-quantizable convs (FP32 stems) skip selection: they run an owned
+      // kFp32Direct engine, which takes ungrouped shapes only.
+      if (!engine_caps(EngineKind::kFp32Direct, d).supports) {
+        lower_fail("non-quantizable conv " + conv.name() + " [" + d.to_string() +
+                   "] has no FP32 engine: " + engine_token(EngineKind::kFp32Direct) +
+                   " runs ungrouped convolutions only");
+      }
+      op.engine = make_conv_engine(EngineKind::kFp32Direct, d);
+      op.engine->set_filters(conv.weights(), conv.bias());
+    }
     push_op(std::move(op));
     return out_val;
   };
@@ -424,7 +434,7 @@ InferenceSession InferenceSession::compile(SequentialModel& model,
   // A chain fuses when (a) the kill-switch is on, (b) the conv's output has
   // exactly one consumer and it is the immediately following element-wise op,
   // and (c) the engine that will execute the conv can carry the epilogue —
-  // kConvFp32 runs session-owned code (always can); kConvEngine consults
+  // kConvFp32 asks its kFp32Direct engine; kConvEngine consults
   // engine_caps(kind, desc) for the forced/replayed kind or requires at
   // least one shoot-out candidate that both supports the shape and the
   // epilogue (the selection loop then skips declining candidates for fused
@@ -460,11 +470,10 @@ InferenceSession InferenceSession::compile(SequentialModel& model,
     std::size_t conv_ordinal = 0;  // kConvEngine count, for reuse-plan lookup
     for (std::size_t i = 0; i < s.ops_.size(); ++i) {
       Op op = std::move(s.ops_[i]);
-      const bool is_conv =
-          op.kind == Op::Kind::kConvEngine || op.kind == Op::Kind::kConvFp32;
       const bool can_fuse =
-          is_conv &&
-          (op.kind == Op::Kind::kConvFp32 || engine_conv_can_fuse(op, conv_ordinal));
+          op.kind == Op::Kind::kConvFp32
+              ? op.engine->supports_post_ops()
+              : op.kind == Op::Kind::kConvEngine && engine_conv_can_fuse(op, conv_ordinal);
       if (op.kind == Op::Kind::kConvEngine) ++conv_ordinal;
       if (can_fuse && i + 1 < s.ops_.size() && uses[op.out] == 1) {
         const Op& next = s.ops_[i + 1];
@@ -931,7 +940,7 @@ InferenceSession InferenceSession::compile(SequentialModel& model,
   s.plan_.naive_bytes = arena_plan.naive_bytes;
 
   // -- Pre-warm every lazily grown buffer so steady-state runs never --------
-  // -- allocate (engine workspaces, FP32 conv scratch, warmup output). ------
+  // -- allocate (engine workspaces, warmup output). -------------------------
   s.run(calib_input, s.warmup_out_);
   s.run(calib_input, s.warmup_out_);
   return s;
@@ -976,7 +985,8 @@ void InferenceSession::execute_op(Op& op, const void* in0, const void* in1, void
   const Value& vi = values_[op.in0];
   const Value& vo = values_[op.out];
   switch (op.kind) {
-    case Op::Kind::kConvEngine: {
+    case Op::Kind::kConvEngine:
+    case Op::Kind::kConvFp32: {
       // Injected *before* the engine touches its state: a faulted op leaves
       // the engine and every arena value exactly as a never-started op would,
       // so a run aborted here is safely retryable from the top.
@@ -995,52 +1005,11 @@ void InferenceSession::execute_op(Op& op, const void* in0, const void* in1, void
         // u8 hand-off on any edge: the typed entry point reads/writes the
         // arena buffers with the dtypes the compiler configured.
         op.engine->run_typed(in0, out, pool_, post);
-      } else if (!post.none()) {
-        // Fused epilogue: the element-wise pass rides inside the engine's
-        // output pass (attributed to its output-transform / store stage).
+      } else {
+        // A fused epilogue rides inside the engine's output pass (attributed
+        // to its output-transform / store stage).
         op.engine->run({static_cast<const float*>(in0), vi.elems},
                        {static_cast<float*>(out), vo.elems}, pool_, post);
-      } else {
-        op.engine->run({static_cast<const float*>(in0), vi.elems},
-                       {static_cast<float*>(out), vo.elems}, pool_);
-      }
-      break;
-    }
-    case Op::Kind::kConvFp32: {
-      // Mirrors ConvLayer::forward_fp32 computation exactly (bit-identical
-      // serving for the FP32 stem) with session-owned scratch and per-image
-      // im2col — serving has no backward pass to feed.
-      const std::size_t batch = plan_.batch;
-      const ConvDesc d = op.conv->conv_desc(batch);
-      const std::size_t rows = d.out_height() * d.out_width();
-      const std::size_t k = op.conv->out_channels();
-      const std::size_t patch = op.conv->in_channels() * d.kernel * d.kernel;
-      op.col.ensure(rows * patch);
-      op.wt.ensure(patch * k);
-      op.out_rows.ensure(rows * k);
-      const std::span<const float> weights = op.conv->weights();
-      const std::span<const float> bias = op.conv->bias();
-      float* wT = op.wt.data();
-      for (std::size_t kk = 0; kk < k; ++kk) {
-        for (std::size_t p = 0; p < patch; ++p) wT[p * k + kk] = weights[kk * patch + p];
-      }
-      const float* fin0 = static_cast<const float*>(in0);
-      const float* fin1 = static_cast<const float*>(in1);
-      float* fout = static_cast<float*>(out);
-      for (std::size_t b = 0; b < batch; ++b) {
-        im2col_f32(d, {fin0, vi.elems}, b, op.col.data());
-        fp32_gemm(op.col.data(), patch, wT, k, op.out_rows.data(), k, rows, patch, k);
-        const float* src_rows = op.out_rows.data();
-        for (std::size_t kk = 0; kk < k; ++kk) {
-          float* dst = fout + (b * k + kk) * rows;
-          const float* res = op.fuse_sum ? fin1 + (b * k + kk) * rows : nullptr;
-          const float bk = bias[kk];
-          for (std::size_t p = 0; p < rows; ++p) {
-            float v = src_rows[p * k + kk] + bk;
-            if (res != nullptr) v += res[p];
-            dst[p] = op.fuse_relu ? std::max(0.0f, v) : v;
-          }
-        }
       }
       break;
     }

@@ -5,7 +5,9 @@
 // Plan time — InferenceSession::compile(model, calib_input, options):
 //   * lowers the SequentialModel to a flat op list (convolutions, ReLU,
 //     maxpool, dense, residual add — residual blocks are flattened so the
-//     skip connection becomes a real multi-buffer live range);
+//     skip connection becomes a real multi-buffer live range), giving each
+//     non-quantizable convolution (FP32 stems) its own kFp32Direct engine —
+//     not selected and not a SessionPlan line;
 //   * runs the post-op fusion pass: conv->relu and conv->add+relu chains
 //     collapse into the convolution's single output pass (PostOps epilogue)
 //     when the eligible engines support it, killing the element-wise passes
@@ -173,10 +175,10 @@ class InferenceSession {
     DenseLayer* dense = nullptr;  ///< kDense
     std::size_t channels = 0;     ///< kMaxPool
     std::size_t hw = 0;           ///< kMaxPool input spatial size
-    std::unique_ptr<ConvEngine> engine;  ///< kConvEngine (session-owned)
-    // Session-owned FP32 conv scratch (kConvFp32): sessions never share
-    // mutable state, even when compiled from the same model.
-    AlignedBuffer<float> col, wt, out_rows;
+    /// Session-owned engine of a conv op: the selected one (kConvEngine) or
+    /// kFp32Direct (kConvFp32). Sessions never share mutable state, even
+    /// when compiled from the same model.
+    std::unique_ptr<ConvEngine> engine;
     std::string label;
   };
 

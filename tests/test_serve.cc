@@ -5,6 +5,7 @@
 // (global operator new counting + the AlignedBuffer allocation counter).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -215,6 +216,64 @@ InferenceSession forced_session(SequentialModel& model, const Tensor<float>& cal
   return InferenceSession::compile(model, calib, options);
 }
 
+/// The quantizable convolutions of `model` (a residual block holds two).
+std::size_t quantizable_conv_count(SequentialModel& model) {
+  std::size_t n = 0;
+  for (std::size_t i = 0; i < model.layer_count(); ++i) {
+    if (auto* conv = dynamic_cast<ConvLayer*>(&model.layer(i))) {
+      n += conv->quantizable() ? 1 : 0;
+    } else if (auto* res = dynamic_cast<ResidualBlock*>(&model.layer(i))) {
+      n += (res->conv1().quantizable() ? 1 : 0) + (res->conv2().quantizable() ? 1 : 0);
+    }
+  }
+  return n;
+}
+
+/// The plan has one line per quantizable conv; the FP32 stem (op 0) runs its
+/// own engine outside it.
+void expect_plan_lists_quantizable_convs(const InferenceSession& session,
+                                         SequentialModel& model) {
+  EXPECT_EQ(session.plan().convs.size(), quantizable_conv_count(model));
+  for (const SessionPlan::ConvChoice& c : session.plan().convs) {
+    EXPECT_NE(c.op_index, 0u) << "the FP32 stem is not a plan line";
+  }
+}
+
+/// Serves a copy of `zoo`'s FP32 stem (layer 0), alone and with the ReLU the
+/// zoo models fuse into it, and expects ConvLayer::forward's exact bits on
+/// the calibration batch.
+void expect_stem_serves_forward_bits(SequentialModel& zoo, const Tensor<float>& calib) {
+  auto& stem = dynamic_cast<ConvLayer&>(zoo.layer(0));
+  ASSERT_FALSE(stem.quantizable());
+  Tensor<float> ref;
+  stem.forward(calib, ref, /*train=*/false);
+  for (const bool with_relu : {false, true}) {
+    const ConvDesc d = stem.conv_desc(1);
+    Rng rng(0);
+    auto copy = std::make_unique<ConvLayer>(d.in_channels, d.out_channels, d.height,
+                                            d.kernel, d.pad, rng, d.groups);
+    std::copy(stem.weights().begin(), stem.weights().end(), copy->mutable_weights().begin());
+    ASSERT_TRUE(std::equal(stem.bias().begin(), stem.bias().end(), copy->bias().begin()));
+    copy->set_quantizable(false);
+    SequentialModel model;
+    model.add(std::move(copy));
+    if (with_relu) model.add(std::make_unique<ReluLayer>());
+    PlanOptions options;
+    options.pool = &ThreadPool::global();
+    InferenceSession session = InferenceSession::compile(model, calib, options);
+    EXPECT_TRUE(session.plan().convs.empty()) << "an FP32 conv is never a plan line";
+    Tensor<float> out;
+    session.run(calib, out);
+    Tensor<float> expect = ref;
+    if (with_relu) {
+      for (float& v : expect.span()) v = std::max(0.0f, v);
+    }
+    ASSERT_EQ(out.shape(), expect.shape());
+    EXPECT_EQ(0, std::memcmp(out.data(), expect.data(), out.size() * sizeof(float)))
+        << (with_relu ? "stem+relu (fused epilogue)" : "stem");
+  }
+}
+
 TEST(InferenceSession, BitIdenticalToForwardEngineMiniVgg) {
   // forward_engine hands FP32 between layers; the u8 hand-off deliberately
   // changes that, so the bit-identity contract is pinned to hand-off-off.
@@ -228,6 +287,7 @@ TEST(InferenceSession, BitIdenticalToForwardEngineMiniVgg) {
     model.calibrate(calib, kind);
     model.finalize_calibration(kind);
     InferenceSession session = forced_session(model, calib, kind, &pool);
+    expect_plan_lists_quantizable_convs(session, model);
     const Tensor<float>& ref = model.forward_engine(input, kind, &pool);
     Tensor<float> out;
     session.run(input, out);
@@ -235,6 +295,8 @@ TEST(InferenceSession, BitIdenticalToForwardEngineMiniVgg) {
     EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), out.size() * sizeof(float)))
         << "engine " << engine_token(kind);
   }
+  SequentialModel zoo = make_minivgg();
+  expect_stem_serves_forward_bits(zoo, calib);
 }
 
 TEST(InferenceSession, BitIdenticalToForwardEngineMiniResNet) {
@@ -247,6 +309,7 @@ TEST(InferenceSession, BitIdenticalToForwardEngineMiniResNet) {
     model.calibrate(calib, kind);
     model.finalize_calibration(kind);
     InferenceSession session = forced_session(model, calib, kind, &pool);
+    expect_plan_lists_quantizable_convs(session, model);
     const Tensor<float>& ref = model.forward_engine(input, kind, &pool);
     Tensor<float> out;
     session.run(input, out);
@@ -254,6 +317,8 @@ TEST(InferenceSession, BitIdenticalToForwardEngineMiniResNet) {
     EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), out.size() * sizeof(float)))
         << "engine " << engine_token(kind);
   }
+  SequentialModel zoo = make_miniresnet();
+  expect_stem_serves_forward_bits(zoo, calib);
 }
 
 TEST(InferenceSession, SteadyStateRunIsAllocationFree) {
@@ -465,6 +530,30 @@ TEST(InferenceSession, RejectsWrongInputShapeAndBadModels) {
   EXPECT_THROW(InferenceSession::compile(empty, calib, {}), std::invalid_argument);
   Tensor<float> rank2({2, 16});
   EXPECT_THROW(InferenceSession::compile(model, rank2, {}), std::invalid_argument);
+}
+
+TEST(InferenceSession, RejectsGroupedFp32Conv) {
+  // Non-quantizable convs run on kFp32Direct, which takes ungrouped shapes
+  // only: a grouped FP32 conv must fail compile, naming the layer, instead of
+  // reading its K x (C/g) x r x r weights as K x C x r x r.
+  const Tensor<float> calib = random_input(2, 8, 557);
+  for (const std::size_t groups : {std::size_t{2}, std::size_t{4}}) {  // grouped, depthwise
+    Rng rng(31);
+    SequentialModel model;
+    auto stem = std::make_unique<ConvLayer>(1, 4, 8, 3, 1, rng);
+    stem->set_quantizable(false);
+    model.add(std::move(stem));
+    auto grouped = std::make_unique<ConvLayer>(4, 4, 8, 3, 1, rng, groups);
+    grouped->set_quantizable(false);
+    const std::string name = grouped->name();
+    model.add(std::move(grouped));
+    try {
+      InferenceSession::compile(model, calib, {});
+      ADD_FAILURE() << "compile accepted non-quantizable " << name;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find(name), std::string::npos) << e.what();
+    }
+  }
 }
 
 // --- Post-op fusion ---------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 #include <vector>
 
@@ -12,6 +13,7 @@
 #include "nn/engines.h"
 #include "nn/model_zoo.h"
 #include "nn/train.h"
+#include "parallel/thread_pool.h"
 #include "quant/quantize.h"
 
 namespace lowino {
@@ -410,6 +412,30 @@ TEST(EngineForward, ThrowsWithoutCalibration) {
   Tensor<float> out;
   EXPECT_THROW(conv.forward_engine(in, out, EngineKind::kLoWinoF2, nullptr),
                std::logic_error);
+}
+
+TEST(Fp32DirectEngine, BitIdenticalToConvLayerForwardOnStemShapes) {
+  // A session serves every non-quantizable conv (the zoo's FP32 stems) on
+  // kFp32Direct, so on stem shapes the engine must reproduce
+  // ConvLayer::forward bit for bit, with its work split over several threads.
+  ThreadPool pool(4);
+  for (const std::size_t c : {1, 3, 16}) {
+    for (const std::size_t k : {20, 32, 64}) {
+      Rng rng(1000 + 10 * c + k);
+      ConvLayer conv(c, k, 16, 3, 1, rng);
+      Tensor<float> in({16, c, 16, 16});
+      for (std::size_t i = 0; i < in.size(); ++i) in.data()[i] = rng.uniform(-1.0f, 1.0f);
+      Tensor<float> ref;
+      conv.forward(in, ref, /*train=*/false);
+
+      auto engine = make_conv_engine(EngineKind::kFp32Direct, conv.conv_desc(16));
+      engine->set_filters(conv.weights(), conv.bias());
+      Tensor<float> out(ref.shape());
+      engine->run(in.span(), out.span(), &pool);
+      EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), out.size() * sizeof(float)))
+          << "C=" << c << " K=" << k;
+    }
+  }
 }
 
 TEST(EngineNames, AllDistinct) {

@@ -556,6 +556,126 @@ TEST(InferenceSession, RejectsGroupedFp32Conv) {
   }
 }
 
+// --- Per-layer selection on a single conv -----------------------------------
+
+/// A model holding one quantizable 3x3 conv (pad 1, no epilogue to fuse) and
+/// a random batch for it; `conv` points into `model`.
+struct SingleConv {
+  SequentialModel model;
+  ConvLayer* conv = nullptr;
+  Tensor<float> input;
+};
+
+SingleConv single_conv(std::size_t c, std::size_t k, std::size_t hw, std::uint64_t seed) {
+  SingleConv s;
+  Rng rng(seed);
+  auto conv = std::make_unique<ConvLayer>(c, k, hw, 3, 1, rng);
+  s.conv = conv.get();
+  s.model.add(std::move(conv));
+  s.input = Tensor<float>({1, c, hw, hw});
+  for (std::size_t i = 0; i < s.input.size(); ++i) {
+    s.input.data()[i] = rng.uniform(-1.0f, 1.0f);
+  }
+  return s;
+}
+
+double served_snr_db(SingleConv& s, InferenceSession& session) {
+  Tensor<float> ref, out;
+  s.conv->forward(s.input, ref, /*train=*/false);
+  session.run(s.input, out);
+  EXPECT_EQ(out.shape(), ref.shape());
+  if (out.shape() != ref.shape()) return -1e300;
+  return quantization_error(ref.span(), out.span()).signal_to_noise_db;
+}
+
+class ForcedEngineSession : public ::testing::TestWithParam<EngineKind> {};
+
+TEST_P(ForcedEngineSession, SingleConvStaysAccurateWithoutShootOut) {
+  const EngineKind kind = GetParam();
+  SingleConv s = single_conv(64, 128, 12, 4);
+  PlanOptions options;
+  options.pool = &ThreadPool::global();
+  options.forced_engine = kind;
+  InferenceSession session = InferenceSession::compile(s.model, s.input, options);
+  ASSERT_EQ(session.plan().convs.size(), 1u);
+  const SessionPlan::ConvChoice& c = session.plan().convs[0];
+  EXPECT_EQ(c.engine, kind);
+  EXPECT_EQ(c.seconds, 0.0);  // forced, not measured
+  EXPECT_GT(c.snr_db, 14.0);  // the one accuracy measurement is still recorded
+  EXPECT_GT(served_snr_db(s, session), 14.0) << engine_token(kind);
+}
+
+INSTANTIATE_TEST_SUITE_P(Engines, ForcedEngineSession,
+                         ::testing::Values(EngineKind::kInt8Direct, EngineKind::kLoWinoF2,
+                                           EngineKind::kLoWinoF4),
+                         [](const ::testing::TestParamInfo<EngineKind>& info) {
+                           return std::string(engine_token(info.param));
+                         });
+
+TEST(InferenceSession, ShootOutOnSingleConvServesWithinEnvelope) {
+  SingleConv s = single_conv(64, 64, 14, 1);
+  PlanOptions options;
+  options.pool = &ThreadPool::global();
+  options.seconds_per_candidate = 0.01;
+  InferenceSession session = InferenceSession::compile(s.model, s.input, options);
+  ASSERT_EQ(session.plan().convs.size(), 1u);
+  const SessionPlan::ConvChoice& c = session.plan().convs[0];
+  EXPECT_GT(c.seconds, 0.0);  // the shoot-out measured its pick
+  EXPECT_TRUE(engine_caps(c.engine, s.conv->conv_desc(1)).quantized);
+  EXPECT_TRUE(c.met_envelope) << engine_token(c.engine) << " at " << c.snr_db << " dB";
+  EXPECT_GE(served_snr_db(s, session), options.min_snr_db) << engine_token(c.engine);
+}
+
+TEST(InferenceSession, SelectedEngineStaysFixedAcrossRuns) {
+  // Selection happens once, at compile: serving other batches in between
+  // changes neither the plan nor the bits served for a repeated batch.
+  SingleConv s = single_conv(64, 64, 10, 2);
+  PlanOptions options;
+  options.pool = &ThreadPool::global();
+  options.seconds_per_candidate = 0.005;
+  InferenceSession session = InferenceSession::compile(s.model, s.input, options);
+  const std::string plan_text = session.plan().serialize();
+
+  Tensor<float> first, other, again;
+  session.run(s.input, first);
+  const Tensor<float> different = single_conv(64, 64, 10, 3).input;
+  session.run(different, other);
+  session.run(s.input, again);
+  EXPECT_EQ(session.plan().serialize(), plan_text);
+  ASSERT_EQ(again.shape(), first.shape());
+  EXPECT_EQ(0, std::memcmp(again.data(), first.data(), first.size() * sizeof(float)));
+}
+
+TEST(InferenceSession, PlanEngineWisdomKeyCarriesDescriptorAndSteersSelection) {
+  SingleConv s = single_conv(64, 64, 8, 5);
+  WisdomStore wisdom;
+  PlanOptions options;
+  options.pool = &ThreadPool::global();
+  options.seconds_per_candidate = 0.005;
+  options.wisdom = &wisdom;
+  InferenceSession measured = InferenceSession::compile(s.model, s.input, options);
+  ASSERT_EQ(measured.plan().convs.size(), 1u);
+  const SessionPlan::ConvChoice& c = measured.plan().convs[0];
+  // Unfused convs are keyed "plan-engine <desc>", valued with the engine token.
+  EXPECT_EQ(c.desc, s.conv->conv_desc(1).to_string());
+  ASSERT_EQ(wisdom.string_size(), 1u);
+  EXPECT_EQ(wisdom.get_string("plan-engine " + c.desc), std::string(engine_token(c.engine)));
+
+  // A hand-written entry under the same key picks the engine without a
+  // shoot-out, whatever the measurement would have chosen.
+  for (const EngineKind kind : {EngineKind::kInt8Direct, EngineKind::kLoWinoF2}) {
+    WisdomStore hinted;
+    ASSERT_TRUE(hinted.put_string("plan-engine " + c.desc, engine_token(kind)));
+    PlanOptions consult = options;
+    consult.wisdom = &hinted;
+    InferenceSession session = InferenceSession::compile(s.model, s.input, consult);
+    ASSERT_EQ(session.plan().convs.size(), 1u);
+    EXPECT_EQ(session.plan().convs[0].engine, kind);
+    EXPECT_EQ(session.plan().convs[0].seconds, 0.0);
+    EXPECT_GT(served_snr_db(s, session), 14.0) << engine_token(kind);
+  }
+}
+
 // --- Post-op fusion ---------------------------------------------------------
 
 TEST(SessionPlanFormat, PostOpsTokenRoundTrip) {

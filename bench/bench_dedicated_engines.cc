@@ -7,15 +7,20 @@
 // Depthwise rows compare Int8DepthwiseConv against the FP32 scalar grouped
 // reference (the fallback a session without the dedicated engine would use;
 // no GEMM-shaped engine covers groups == C).
+// Zoo rows run the session-zoo layers of the GEMM-based direct engines (the
+// FP32 stem, int8_1x1, int8_direct) once on the pool and once with
+// pool = nullptr; "pool gain" above 1 means the fork-join pays for itself.
 //
 // Env: LOWINO_BENCH_BATCH (default 16), LOWINO_BENCH_BUDGET_MS.
 #include <cmath>
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
 #include "direct/direct_1x1.h"
 #include "direct/direct_depthwise.h"
+#include "direct/direct_f32.h"
 #include "direct/direct_int8.h"
 #include "parallel/thread_pool.h"
 #include "quant/quantize.h"
@@ -80,11 +85,57 @@ int bench_main() {
   std::printf("Dedicated INT8 engines vs generic paths (threads=%zu, batch=%zu)\n\n",
               pool.num_threads(), batch);
 
-  // --- 1x1 pointwise: int8_1x1 vs the generic im2col INT8 direct ----------
   struct Shape {
     const char* name;
     ConvDesc desc;
   };
+
+  // --- zoo layers: the same engine with the pool and with pool = nullptr ---
+  enum class Zoo { kFp32, kInt8_1x1, kInt8Direct };
+  struct ZooShape {
+    Shape shape;
+    Zoo engine;
+  };
+  const ZooShape zoo[] = {
+      {{"fp32 stem 1->64 /32", make_desc(1, 64, 32, 3, 1, 1, batch)}, Zoo::kFp32},
+      {{"int8_1x1 32->64 /32", make_desc(32, 64, 32, 1, 1, 1, batch)}, Zoo::kInt8_1x1},
+      {{"int8_direct 64->64 /32", make_desc(64, 64, 32, 3, 1, 1, batch)}, Zoo::kInt8Direct},
+  };
+  std::printf("%-24s %12s %12s %10s | %10s\n", "zoo layer", "serial ms", "pool ms",
+              "pool gain", "pool GOPS");
+  bench::print_rule(76);
+  for (const ZooShape& z : zoo) {
+    const ConvDesc& d = z.shape.desc;
+    const bench::LayerData data = bench::make_layer_data(d, 17);
+    std::vector<float> out(d.batch * d.out_channels * d.out_height() * d.out_width());
+    const auto time_both = [&](auto& conv) {
+      const double serial = bench::measure([&] { conv.execute_nchw(data.input, out, nullptr); });
+      const double pooled = bench::measure([&] { conv.execute_nchw(data.input, out, &pool); });
+      return std::make_pair(serial, pooled);
+    };
+    std::pair<double, double> t;
+    if (z.engine == Zoo::kFp32) {
+      Im2colConvF32 conv(d);
+      conv.set_filters(data.weights, data.bias);
+      t = time_both(conv);
+    } else if (z.engine == Zoo::kInt8_1x1) {
+      Int8Conv1x1Conv conv(d);
+      conv.set_input_threshold(abs_max(data.input));
+      conv.set_filters(data.weights, data.bias);
+      t = time_both(conv);
+    } else {
+      Int8DirectConv conv(d);
+      conv.set_input_threshold(abs_max(data.input));
+      conv.set_filters(data.weights, data.bias);
+      t = time_both(conv);
+    }
+    std::printf("%-24s %12.3f %12.3f %9.2fx | %10.1f\n", z.shape.name, 1e3 * t.first,
+                1e3 * t.second, t.first / t.second, bench::direct_gflops(d, t.second));
+    std::fflush(stdout);
+  }
+  std::printf("\n");
+
+  // --- 1x1 pointwise: int8_1x1 vs the generic im2col INT8 direct ----------
   const Shape pw[] = {
       {"pw 64->128 /28", make_desc(64, 128, 28, 1, 1, 1, batch)},
       {"pw 128->128 /28", make_desc(128, 128, 28, 1, 1, 1, batch)},

@@ -6,61 +6,11 @@
 #include <stdexcept>
 
 #include "common/saturate.h"
-#include "parallel/thread_pool.h"
+#include "direct/row_block.h"
+#include "profile/profiler.h"
 #include "quant/calibration.h"
 
 namespace lowino {
-namespace {
-
-/// Builds the (OH*OW) x c_pad A matrix for one image: quantize(+128) and
-/// transpose the C x H x W plane. Channel-major walk keeps the input reads
-/// sequential; the strided writes stay in cache (one row per spatial pixel).
-/// pad = 0 is guaranteed for r = 1, so there is no out-of-bounds branch.
-void gather_quantized(const ConvDesc& desc, const float* input, std::size_t b,
-                      float scale, std::size_t c_pad, std::uint8_t* a) {
-  const std::size_t C = desc.in_channels, H = desc.height, W = desc.width;
-  const std::size_t OH = desc.out_height(), OW = desc.out_width(), s = desc.stride;
-  for (std::size_t c = 0; c < C; ++c) {
-    const float* plane = input + ((b * C + c) * H) * W;
-    std::uint8_t* dst = a + c;
-    for (std::size_t oh = 0; oh < OH; ++oh) {
-      const float* src = plane + (oh * s) * W;
-      for (std::size_t ow = 0; ow < OW; ++ow) {
-        const std::int32_t q = round_nearest_even(src[ow * s] * scale) + 128;
-        dst[(oh * OW + ow) * c_pad] = static_cast<std::uint8_t>(std::clamp(q, 0, 255));
-      }
-    }
-  }
-  // Padding channels: quantized zero, annihilated by the zero filter rows.
-  std::uint8_t* tail = a;
-  for (std::size_t p = 0; p < OH * OW; ++p, tail += c_pad) {
-    for (std::size_t c = C; c < c_pad; ++c) tail[c] = 128;
-  }
-}
-
-/// u8 hand-off gather: the bytes already carry the adopted quantization, so
-/// this is a pure (strided) transpose.
-void gather_u8(const ConvDesc& desc, const std::uint8_t* input, std::size_t b,
-               std::size_t c_pad, std::uint8_t* a) {
-  const std::size_t C = desc.in_channels, H = desc.height, W = desc.width;
-  const std::size_t OH = desc.out_height(), OW = desc.out_width(), s = desc.stride;
-  for (std::size_t c = 0; c < C; ++c) {
-    const std::uint8_t* plane = input + ((b * C + c) * H) * W;
-    std::uint8_t* dst = a + c;
-    for (std::size_t oh = 0; oh < OH; ++oh) {
-      const std::uint8_t* src = plane + (oh * s) * W;
-      for (std::size_t ow = 0; ow < OW; ++ow) {
-        dst[(oh * OW + ow) * c_pad] = src[ow * s];
-      }
-    }
-  }
-  std::uint8_t* tail = a;
-  for (std::size_t p = 0; p < OH * OW; ++p, tail += c_pad) {
-    for (std::size_t c = C; c < c_pad; ++c) tail[c] = 128;
-  }
-}
-
-}  // namespace
 
 Int8Conv1x1Conv::Int8Conv1x1Conv(const ConvDesc& desc) : desc_(desc) {
   desc.validate();
@@ -155,54 +105,43 @@ void Int8Conv1x1Conv::execute_typed(const void* input, void* output, ThreadPool*
 void Int8Conv1x1Conv::execute_impl(const void* input, void* output, bool in_u8,
                                    bool out_u8, ThreadPool* pool, const PostOps& post) {
   assert(filters_set_ && input_scales_set_);
-  const std::size_t OH = desc_.out_height(), OW = desc_.out_width();
-  const std::size_t rows = OH * OW;
-  const std::size_t K = desc_.out_channels;
-  a_.ensure(rows * c_pad_);
-  acc_.ensure(rows * k_pad_);
-  const float requant = out_u8_qp_.scale;
-  for (std::size_t b = 0; b < desc_.batch; ++b) {
-    if (in_u8) {
-      gather_u8(desc_, static_cast<const std::uint8_t*>(input), b, c_pad_, a_.data());
-    } else {
-      gather_quantized(desc_, static_cast<const float*>(input), b, input_params_.scale,
-                       c_pad_, a_.data());
-    }
-    int8_gemm_packed(a_.data(), c_pad_, w_packed_.data(), comp_.data(), acc_.data(),
-                     k_pad_, rows, c_pad_, k_pad_, blocking_, pool);
-    for (std::size_t k = 0; k < K; ++k) {
-      const std::size_t plane = (b * K + k) * rows;
-      const float* res = post.sum != nullptr ? post.sum + plane : nullptr;
-      const std::uint8_t* res8 = post.sum_u8 != nullptr ? post.sum_u8 + plane : nullptr;
-      const float res8_inv = post.sum_u8_inv_scale;
-      const float dq = w_dequant_[k];
-      const float bk = bias_[k];
-      if (out_u8) {
-        std::uint8_t* dst = static_cast<std::uint8_t*>(output) + plane;
-        for (std::size_t p = 0; p < rows; ++p) {
-          float v = static_cast<float>(acc_[p * k_pad_ + k]) * dq + bk;
-          if (res != nullptr) v += res[p];
-          if (res8 != nullptr) {
-            v += static_cast<float>(static_cast<std::int32_t>(res8[p]) - 128) * res8_inv;
-          }
-          if (post.relu) v = std::max(0.0f, v);
-          // Requant stage: same rounding contract as quantize_u8_shift128.
-          const std::int32_t q = round_nearest_even(v * requant) + 128;
-          dst[p] = static_cast<std::uint8_t>(std::clamp(q, 0, 255));
+  const std::size_t C = desc_.in_channels, H = desc_.height, W = desc_.width;
+  const std::size_t OW = desc_.out_width(), s = desc_.stride;
+  const std::size_t rows = desc_.out_height() * OW;
+  ensure_panels(panels_, pool, [&](Panel& panel) {
+    panel.a.ensure(kRowBlock * c_pad_);
+    panel.acc.ensure(kRowBlock * k_pad_);
+  });
+  const RowEpilogue ep{desc_.out_channels, rows, w_dequant_.data(), bias_.data(), post,
+                       out_u8, out_u8_qp_.scale};
+  for_each_row_block(pool, desc_.batch, rows,
+                     [&](std::size_t tid, std::size_t b, std::size_t p0, std::size_t p1) {
+    Panel& panel = panels_[tid];
+    {
+      // A rows: quantize(+128)-and-transpose the block's pixels. pad = 0 for
+      // r = 1, so there is no out-of-bounds case; at stride 1 the block is one
+      // contiguous run of every plane, otherwise one strided run per row.
+      ProfileSpan span(ProfileStage::kInputTransform);
+      for (std::size_t p = p0; p < p1;) {
+        const std::size_t oh = p / OW, ow = p % OW;
+        const std::size_t n = s == 1 ? p1 - p : std::min(p1 - p, OW - ow);
+        const std::size_t at = (b * C * H + oh * s) * W + ow * s;
+        std::uint8_t* dst = panel.a.data() + (p - p0) * c_pad_;
+        if (in_u8) {
+          gather_channels(static_cast<const std::uint8_t*>(input) + at, H * W, s, n, C, dst,
+                          c_pad_, c_pad_);
+        } else {
+          gather_channels(static_cast<const float*>(input) + at, H * W, s, n, C,
+                          input_params_.scale, dst, c_pad_, c_pad_);
         }
-      } else {
-        float* dst = static_cast<float*>(output) + plane;
-        for (std::size_t p = 0; p < rows; ++p) {
-          float v = static_cast<float>(acc_[p * k_pad_ + k]) * dq + bk;
-          if (res != nullptr) v += res[p];
-          if (res8 != nullptr) {
-            v += static_cast<float>(static_cast<std::int32_t>(res8[p]) - 128) * res8_inv;
-          }
-          dst[p] = post.relu ? std::max(0.0f, v) : v;
-        }
+        p += n;
       }
     }
-  }
+    int8_gemm_packed(panel.a.data(), c_pad_, w_packed_.data(), comp_.data(), panel.acc.data(),
+                     k_pad_, p1 - p0, c_pad_, k_pad_, blocking_);
+    ProfileSpan span(ProfileStage::kOutputTransform);
+    store_rows(ep, panel.acc.data(), k_pad_, b, p0, p1, output);
+  });
 }
 
 }  // namespace lowino

@@ -2,17 +2,19 @@
 //
 // A 1x1 convolution is a (OH*OW) x C by C x K matrix product per image — no
 // im2col patch expansion, no out-of-bounds checks (validate() forces pad = 0
-// when r = 1). The A matrix build is a straight quantize(+128)-and-transpose
-// gather (strided along the spatial axis when stride > 1), roughly r*r = 9x
-// less index arithmetic than the generic direct engine's im2col on the same
-// shape. Quantization scheme, GEMM substrate and the dequant/PostOps/requant
-// tail are shared with Int8DirectConv so the speedup isolates the gather.
+// when r = 1). The A rows are the shared quantize(+128)-and-transpose gather
+// (direct/row_block.h) applied straight to the block's pixels (strided along
+// the spatial axis when stride > 1), where Int8DirectConv gathers a halo and
+// then copies window rows out of it. Quantization scheme, GEMM substrate,
+// row-block execution and the dequant/PostOps/requant tail are shared with
+// Int8DirectConv, so the speedup isolates that copy.
 //
 // Mirrors the Euler `elx_conv_direct_1x1_lp` specialization (SNIPPETS.md).
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/aligned_buffer.h"
 #include "gemm/int8_gemm.h"
@@ -75,8 +77,11 @@ class Int8Conv1x1Conv {
   bool filters_set_ = false;
   AlignedBuffer<float> weights_fp32_;  ///< kept until scales are known
 
-  AlignedBuffer<std::uint8_t> a_;     ///< quantized+transposed activations
-  AlignedBuffer<std::int32_t> acc_;   ///< GEMM result
+  struct Panel {
+    AlignedBuffer<std::uint8_t> a;     ///< kRowBlock x c_pad quantized+transposed rows
+    AlignedBuffer<std::int32_t> acc;   ///< kRowBlock x k_pad GEMM result
+  };
+  std::vector<Panel> panels_;  ///< one per thread
   Int8GemmBlocking blocking_;
 
   bool in_u8_ = false;

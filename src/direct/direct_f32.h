@@ -8,6 +8,7 @@
 
 #include <cstddef>
 #include <span>
+#include <vector>
 
 #include "common/aligned_buffer.h"
 #include "tensor/conv_desc.h"
@@ -24,7 +25,8 @@ void direct_conv_f32_reference(const ConvDesc& desc, std::span<const float> inpu
                                std::span<float> output, bool relu = false,
                                ThreadPool* pool = nullptr);
 
-/// im2col + FP32 GEMM convolution (NCHW in/out).
+/// im2col + FP32 GEMM convolution (NCHW in/out), run as one region of
+/// (image x row-block) tasks with per-thread panels (direct/row_block.h).
 class Im2colConvF32 {
  public:
   explicit Im2colConvF32(const ConvDesc& desc);
@@ -44,13 +46,17 @@ class Im2colConvF32 {
   AlignedBuffer<float> wT_;   ///< patch x K (GEMM B operand), K padded to 16
   std::size_t k_pad_ = 0;
   AlignedBuffer<float> bias_;
-  AlignedBuffer<float> col_;  ///< im2col buffer (out_h*out_w) x patch
-  AlignedBuffer<float> out_scratch_;  ///< (out_h*out_w) x k_pad
+  struct Panel {
+    AlignedBuffer<float> col;  ///< kRowBlock x patch im2col rows
+    AlignedBuffer<float> acc;  ///< kRowBlock x k_pad GEMM result
+  };
+  std::vector<Panel> panels_;  ///< one per thread
 };
 
-/// Fills `col` ((out_h * out_w) x (C * r * r)) with the im2col expansion of
-/// image `b` of `input` (NCHW), zero-padding the halo.
+/// Fills `col` ((p_end - p_begin) x (C * r * r)) with the im2col expansion of
+/// output pixels [p_begin, p_end) of image `b` of `input` (NCHW),
+/// zero-padding the halo.
 void im2col_f32(const ConvDesc& desc, std::span<const float> input, std::size_t b,
-                float* col);
+                std::size_t p_begin, std::size_t p_end, float* col);
 
 }  // namespace lowino

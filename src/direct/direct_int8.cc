@@ -5,80 +5,11 @@
 #include <cstring>
 
 #include "common/saturate.h"
+#include "direct/row_block.h"
+#include "profile/profiler.h"
 #include "quant/calibration.h"
-#include "parallel/thread_pool.h"
 
 namespace lowino {
-namespace {
-
-/// im2col with fused spatial quantization and the +128 shift: every patch
-/// value is saturate(round(x * scale)) + 128 as uint8; zero padding becomes
-/// exactly 128 (= quantized zero), which the compensation row accounts for.
-void im2col_quantized(const ConvDesc& desc, std::span<const float> input, std::size_t b,
-                      float scale, std::size_t patch_pad, std::uint8_t* col) {
-  const std::size_t C = desc.in_channels, H = desc.height, W = desc.width;
-  const std::size_t r = desc.kernel, pad = desc.height_pad(), pad_w = desc.width_pad();
-  const std::size_t OH = desc.out_height(), OW = desc.out_width();
-  for (std::size_t oh = 0; oh < OH; ++oh) {
-    for (std::size_t ow = 0; ow < OW; ++ow) {
-      std::uint8_t* row = col + (oh * OW + ow) * patch_pad;
-      std::size_t idx = 0;
-      for (std::size_t c = 0; c < C; ++c) {
-        for (std::size_t i = 0; i < r; ++i) {
-          const std::ptrdiff_t ih = static_cast<std::ptrdiff_t>(oh * desc.stride + i) -
-                                    static_cast<std::ptrdiff_t>(pad);
-          for (std::size_t j = 0; j < r; ++j) {
-            const std::ptrdiff_t iw = static_cast<std::ptrdiff_t>(ow * desc.stride + j) -
-                                      static_cast<std::ptrdiff_t>(pad_w);
-            const bool oob = ih < 0 || ih >= static_cast<std::ptrdiff_t>(H) || iw < 0 ||
-                             iw >= static_cast<std::ptrdiff_t>(W);
-            if (oob) {
-              row[idx++] = 128;
-            } else {
-              const float v = input[((b * C + c) * H + ih) * W + iw];
-              const std::int32_t q = round_nearest_even(v * scale) + 128;
-              row[idx++] = static_cast<std::uint8_t>(std::clamp(q, 0, 255));
-            }
-          }
-        }
-      }
-      // Padding channels: quantized zero, annihilated by the zero filter rows.
-      for (; idx < patch_pad; ++idx) row[idx] = 128;
-    }
-  }
-}
-
-/// u8 hand-off im2col: the input bytes already carry the engine's quantization
-/// (set_input_u8 adopted the producer's scale), so patches are a plain byte
-/// gather; padding stays 128 = quantized zero, identical to the FP32 path.
-void im2col_u8(const ConvDesc& desc, const std::uint8_t* input, std::size_t b,
-               std::size_t patch_pad, std::uint8_t* col) {
-  const std::size_t C = desc.in_channels, H = desc.height, W = desc.width;
-  const std::size_t r = desc.kernel, pad = desc.height_pad(), pad_w = desc.width_pad();
-  const std::size_t OH = desc.out_height(), OW = desc.out_width();
-  for (std::size_t oh = 0; oh < OH; ++oh) {
-    for (std::size_t ow = 0; ow < OW; ++ow) {
-      std::uint8_t* row = col + (oh * OW + ow) * patch_pad;
-      std::size_t idx = 0;
-      for (std::size_t c = 0; c < C; ++c) {
-        for (std::size_t i = 0; i < r; ++i) {
-          const std::ptrdiff_t ih = static_cast<std::ptrdiff_t>(oh * desc.stride + i) -
-                                    static_cast<std::ptrdiff_t>(pad);
-          for (std::size_t j = 0; j < r; ++j) {
-            const std::ptrdiff_t iw = static_cast<std::ptrdiff_t>(ow * desc.stride + j) -
-                                      static_cast<std::ptrdiff_t>(pad_w);
-            const bool oob = ih < 0 || ih >= static_cast<std::ptrdiff_t>(H) || iw < 0 ||
-                             iw >= static_cast<std::ptrdiff_t>(W);
-            row[idx++] = oob ? std::uint8_t{128} : input[((b * C + c) * H + ih) * W + iw];
-          }
-        }
-      }
-      for (; idx < patch_pad; ++idx) row[idx] = 128;
-    }
-  }
-}
-
-}  // namespace
 
 Int8DirectConv::Int8DirectConv(const ConvDesc& desc) : desc_(desc) {
   desc.validate();
@@ -127,11 +58,17 @@ void Int8DirectConv::pack_weights() {
     }
     w_scale[k] = QuantParams::from_threshold(amax).scale;
   }
-  // Quantize to the row-major (patch_pad x k_pad) B matrix, then pack.
+  // Quantize to the row-major (patch_pad x k_pad) B matrix in the im2col
+  // rows' tap-major order (row (i * r + j) * C + c holds tap (i, j) of input
+  // channel c), then pack. The integer reduction is exact in any order.
+  const std::size_t C = desc_.in_channels, taps = desc_.kernel * desc_.kernel;
   std::vector<std::int8_t> w_q(patch_pad_ * k_pad_, 0);
   for (std::size_t k = 0; k < K; ++k) {
-    for (std::size_t p = 0; p < patch_; ++p) {
-      w_q[p * k_pad_ + k] = saturate_cast_i8(weights_fp32_[k * patch_ + p] * w_scale[k]);
+    for (std::size_t c = 0; c < C; ++c) {
+      for (std::size_t t = 0; t < taps; ++t) {
+        w_q[(t * C + c) * k_pad_ + k] =
+            saturate_cast_i8(weights_fp32_[(k * C + c) * taps + t] * w_scale[k]);
+      }
     }
   }
   w_packed_.reset((patch_pad_ / 4) * k_pad_ * 4);
@@ -170,56 +107,67 @@ void Int8DirectConv::execute_typed(const void* input, void* output, ThreadPool* 
 void Int8DirectConv::execute_impl(const void* input, void* output, bool in_u8, bool out_u8,
                                   ThreadPool* pool, const PostOps& post) {
   assert(filters_set_ && input_scales_set_);
-  const std::size_t OH = desc_.out_height(), OW = desc_.out_width();
-  const std::size_t rows = OH * OW;
-  const std::size_t K = desc_.out_channels;
-  const std::size_t in_elems = desc_.batch * desc_.in_channels * desc_.height * desc_.width;
-  col_.ensure(rows * patch_pad_);
-  acc_.ensure(rows * k_pad_);
-  const float requant = out_u8_qp_.scale;
-  for (std::size_t b = 0; b < desc_.batch; ++b) {
-    if (in_u8) {
-      im2col_u8(desc_, static_cast<const std::uint8_t*>(input), b, patch_pad_, col_.data());
-    } else {
-      im2col_quantized(desc_,
-                       std::span<const float>(static_cast<const float*>(input), in_elems), b,
-                       input_params_.scale, patch_pad_, col_.data());
-    }
-    int8_gemm_packed(col_.data(), patch_pad_, w_packed_.data(), comp_.data(), acc_.data(),
-                     k_pad_, rows, patch_pad_, k_pad_, blocking_, pool);
-    for (std::size_t k = 0; k < K; ++k) {
-      const std::size_t plane = (b * K + k) * rows;
-      const float* res = post.sum != nullptr ? post.sum + plane : nullptr;
-      const std::uint8_t* res8 = post.sum_u8 != nullptr ? post.sum_u8 + plane : nullptr;
-      const float res8_inv = post.sum_u8_inv_scale;
-      const float dq = w_dequant_[k];
-      const float bk = bias_[k];
-      if (out_u8) {
-        std::uint8_t* dst = static_cast<std::uint8_t*>(output) + plane;
-        for (std::size_t p = 0; p < rows; ++p) {
-          float v = static_cast<float>(acc_[p * k_pad_ + k]) * dq + bk;
-          if (res != nullptr) v += res[p];
-          if (res8 != nullptr) {
-            v += static_cast<float>(static_cast<std::int32_t>(res8[p]) - 128) * res8_inv;
-          }
-          if (post.relu) v = std::max(0.0f, v);
-          // Requant stage: same rounding contract as quantize_u8_shift128.
-          const std::int32_t q = round_nearest_even(v * requant) + 128;
-          dst[p] = static_cast<std::uint8_t>(std::clamp(q, 0, 255));
+  const std::size_t C = desc_.in_channels, H = desc_.height, W = desc_.width;
+  const std::size_t r = desc_.kernel, s = desc_.stride;
+  const std::size_t pad = desc_.height_pad(), pad_w = desc_.width_pad();
+  const std::size_t OW = desc_.out_width(), rows = desc_.out_height() * OW;
+  const std::size_t wp = W + 2 * pad_w;  // padded input width
+  // Padded input rows one block can reach: its output rows times the stride,
+  // plus the window.
+  const std::size_t block_out_rows = std::min(desc_.out_height(), (kRowBlock - 1) / OW + 2);
+  const std::size_t halo_rows = (block_out_rows - 1) * s + r;
+  ensure_panels(panels_, pool, [&](Panel& panel) {
+    panel.halo.ensure(halo_rows * wp * C);
+    panel.a.ensure(kRowBlock * patch_pad_);
+    panel.acc.ensure(kRowBlock * k_pad_);
+  });
+  const RowEpilogue ep{desc_.out_channels, rows, w_dequant_.data(), bias_.data(), post,
+                       out_u8, out_u8_qp_.scale};
+  for_each_row_block(pool, desc_.batch, rows,
+                     [&](std::size_t tid, std::size_t b, std::size_t p0, std::size_t p1) {
+    Panel& panel = panels_[tid];
+    {
+      ProfileSpan span(ProfileStage::kInputTransform);
+      // Halo: the padded input rows [y0, y0 + hr) the block reads, quantized
+      // (+128) once and stored channels-innermost ([hr][wp][C]); padding is
+      // 128 = quantized zero, which the compensation row accounts for.
+      const std::size_t oh0 = p0 / OW;
+      const std::size_t y0 = oh0 * s, hr = ((p1 - 1) / OW - oh0) * s + r;
+      std::uint8_t* halo = panel.halo.data();
+      for (std::size_t hy = 0; hy < hr; ++hy) {
+        std::uint8_t* row = halo + hy * wp * C;
+        const std::size_t y = y0 + hy;
+        if (y < pad || y >= pad + H) {
+          std::memset(row, 128, wp * C);
+          continue;
         }
-      } else {
-        float* dst = static_cast<float*>(output) + plane;
-        for (std::size_t p = 0; p < rows; ++p) {
-          float v = static_cast<float>(acc_[p * k_pad_ + k]) * dq + bk;
-          if (res != nullptr) v += res[p];
-          if (res8 != nullptr) {
-            v += static_cast<float>(static_cast<std::int32_t>(res8[p]) - 128) * res8_inv;
-          }
-          dst[p] = post.relu ? std::max(0.0f, v) : v;
+        std::memset(row, 128, pad_w * C);
+        std::memset(row + (pad_w + W) * C, 128, pad_w * C);
+        const std::size_t at = (b * C * H + (y - pad)) * W;
+        if (in_u8) {
+          gather_channels(static_cast<const std::uint8_t*>(input) + at, H * W, 1, W, C,
+                          row + pad_w * C, C, C);
+        } else {
+          gather_channels(static_cast<const float*>(input) + at, H * W, 1, W, C,
+                          input_params_.scale, row + pad_w * C, C, C);
         }
       }
+      // im2col rows in tap-major order: window row i of pixel (oh, ow) is r * C
+      // contiguous halo bytes.
+      for (std::size_t p = p0; p < p1; ++p) {
+        const std::size_t oh = p / OW, ow = p % OW;
+        std::uint8_t* dst = panel.a.data() + (p - p0) * patch_pad_;
+        const std::uint8_t* src = halo + ((oh * s - y0) * wp + ow * s) * C;
+        for (std::size_t i = 0; i < r; ++i) std::memcpy(dst + i * r * C, src + i * wp * C, r * C);
+        // Padding columns: quantized zero, annihilated by the zero filter rows.
+        std::memset(dst + patch_, 128, patch_pad_ - patch_);
+      }
     }
-  }
+    int8_gemm_packed(panel.a.data(), patch_pad_, w_packed_.data(), comp_.data(),
+                     panel.acc.data(), k_pad_, p1 - p0, patch_pad_, k_pad_, blocking_);
+    ProfileSpan span(ProfileStage::kOutputTransform);
+    store_rows(ep, panel.acc.data(), k_pad_, b, p0, p1, output);
+  });
 }
 
 }  // namespace lowino

@@ -3,13 +3,14 @@
 //
 // Spatial-domain post-training quantization: one KL-calibrated scale for the
 // input activations, exact per-output-channel scales for the weights. The
-// quantized im2col patches (shifted by +128 into uint8) feed the same VNNI
-// GEMM substrate as LoWino, so performance comparisons isolate the algorithm,
-// not the kernel quality.
+// quantized im2col patches (shifted by +128 into uint8, taps outer and
+// channels inner) feed the same VNNI GEMM substrate as LoWino, so performance
+// comparisons isolate the algorithm, not the kernel quality.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <vector>
 
 #include "common/aligned_buffer.h"
 #include "gemm/int8_gemm.h"
@@ -76,8 +77,12 @@ class Int8DirectConv {
   bool filters_set_ = false;
   AlignedBuffer<float> weights_fp32_;     ///< kept until scales are known
 
-  AlignedBuffer<std::uint8_t> col_;       ///< quantized im2col buffer
-  AlignedBuffer<std::int32_t> acc_;       ///< GEMM result
+  struct Panel {
+    AlignedBuffer<std::uint8_t> halo;  ///< the block's quantized input rows [rows][W+2pad][C]
+    AlignedBuffer<std::uint8_t> a;     ///< kRowBlock x patch_pad im2col rows
+    AlignedBuffer<std::int32_t> acc;   ///< kRowBlock x k_pad GEMM result
+  };
+  std::vector<Panel> panels_;  ///< one per thread
   Int8GemmBlocking blocking_;
 
   bool in_u8_ = false;

@@ -257,32 +257,22 @@ void int8_gemm_n_block(const std::uint8_t* v_block, std::size_t c_blocks,
 void int8_gemm_packed(const std::uint8_t* a, std::size_t lda, const std::int8_t* b_packed,
                       const std::int32_t* comp, std::int32_t* c, std::size_t ldc,
                       std::size_t n, std::size_t cdim, std::size_t k,
-                      const Int8GemmBlocking& blocking, ThreadPool* pool) {
+                      const Int8GemmBlocking& blocking) {
   assert(cdim % 4 == 0 && k % 16 == 0);
   MicroKernelFn fn = get_vnni_microkernel(blocking.row_blk, blocking.col_blk);
-
-  auto body = [&](std::size_t row_begin, std::size_t row_end) {
-    // Baseline/direct GEMM entry point. Callers that already hold a kGemm
-    // span (the vendor strip loop) are not double-counted: same-stage nested
-    // spans are excluded from totals.
-    ProfileSpan span(ProfileStage::kGemm);
-    for (std::size_t r = row_begin; r < row_end; ++r) {
-      if (comp != nullptr) {
-        std::memcpy(c + r * ldc, comp, k * sizeof(std::int32_t));
-      } else {
-        std::memset(c + r * ldc, 0, k * sizeof(std::int32_t));
-      }
+  // Baseline/direct GEMM entry point. Callers that already hold a kGemm span
+  // (the vendor strip loop) are not double-counted: same-stage nested spans
+  // are excluded from totals.
+  ProfileSpan span(ProfileStage::kGemm);
+  for (std::size_t r = 0; r < n; ++r) {
+    if (comp != nullptr) {
+      std::memcpy(c + r * ldc, comp, k * sizeof(std::int32_t));
+    } else {
+      std::memset(c + r * ldc, 0, k * sizeof(std::int32_t));
     }
-    run_panel(a + row_begin * lda, lda, b_packed, k * 4, c + row_begin * ldc, ldc,
-              row_end - row_begin, k, cdim / 4, nullptr, fn, blocking.row_blk,
-              blocking.col_blk);
-  };
-
-  if (pool != nullptr && n >= 2 * static_cast<std::size_t>(blocking.row_blk)) {
-    pool->parallel_for(n, body);
-  } else {
-    body(0, n);
   }
+  run_panel(a, lda, b_packed, k * 4, c, ldc, n, k, cdim / 4, nullptr, fn, blocking.row_blk,
+            blocking.col_blk);
 }
 
 void pack_b_vpdpbusd(const std::int8_t* b, std::size_t cdim, std::size_t k, std::int8_t* out) {

@@ -87,12 +87,13 @@ void int8_gemm_n_block(const std::uint8_t* v_block, std::size_t c_blocks,
 /// Plain single GEMM on row-major uint8 A (n x c, stride lda) and a packed
 /// filter panel B ((c/4) x (k*4) int8, vpdpbusd layout):
 ///   C[i][j] = comp[j] + sum_l A[i][l] * B[l][j]
-/// with arbitrary n (row tails handled), c % 4 == 0, k % 16 == 0.
-/// Used by the INT8 direct convolution and the fused vendor-style baseline.
+/// with arbitrary n (row tails handled), c % 4 == 0, k % 16 == 0. Serial:
+/// its callers (the INT8 direct engines' row blocks, the fused vendor-style
+/// baseline's strips) already run inside their own parallel region.
 void int8_gemm_packed(const std::uint8_t* a, std::size_t lda, const std::int8_t* b_packed,
                       const std::int32_t* comp, std::int32_t* c, std::size_t ldc,
                       std::size_t n, std::size_t cdim, std::size_t k,
-                      const Int8GemmBlocking& blocking, ThreadPool* pool = nullptr);
+                      const Int8GemmBlocking& blocking);
 
 /// Packs a row-major int8 matrix B (c x k) into the vpdpbusd layout used by
 /// int8_gemm_packed: out[(c4)*k*4 + j*4 + cr] = B[c4*4+cr][j], zero-padding

@@ -153,7 +153,7 @@ void ConvLayer::forward_fp32(std::span<const float> in, std::span<float> out,
   float* out_rows = rows_scratch_.data();
   for (std::size_t b = 0; b < batch; ++b) {
     float* col_b = col_.data() + b * rows * patch;
-    im2col_f32(d, in, b, col_b);
+    im2col_f32(d, in, b, 0, rows, col_b);
     fp32_gemm(col_b, patch, wT, k_, out_rows, k_, rows, patch, k_);
     for (std::size_t k = 0; k < k_; ++k) {
       float* dst = out.data() + (b * k_ + k) * rows;

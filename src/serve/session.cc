@@ -1039,23 +1039,26 @@ void InferenceSession::execute_op(Op& op, const void* in0, const void* in1, void
       const std::size_t oh = hw / 2;
       // Byte-domain maxpool is exact for the same monotonicity reason as the
       // byte-domain ReLU: max commutes with quantization under one scale.
+      // One region over the (batch x channel) planes.
       const auto pool2x2 = [&](const auto* src_all, auto* dst_all) {
-        for (std::size_t bc = 0; bc < plan_.batch * op.channels; ++bc) {
-          const auto* src = src_all + bc * hw * hw;
-          auto* dst = dst_all + bc * oh * oh;
-          for (std::size_t y = 0; y < oh; ++y) {
-            for (std::size_t x = 0; x < oh; ++x) {
-              std::size_t best = (2 * y) * hw + 2 * x;
-              for (std::size_t dy = 0; dy < 2; ++dy) {
-                for (std::size_t dx = 0; dx < 2; ++dx) {
-                  const std::size_t idx = (2 * y + dy) * hw + 2 * x + dx;
-                  if (src[idx] > src[best]) best = idx;
+        pool_->parallel_for(plan_.batch * op.channels, [&](std::size_t begin, std::size_t end) {
+          for (std::size_t bc = begin; bc < end; ++bc) {
+            const auto* src = src_all + bc * hw * hw;
+            auto* dst = dst_all + bc * oh * oh;
+            for (std::size_t y = 0; y < oh; ++y) {
+              for (std::size_t x = 0; x < oh; ++x) {
+                std::size_t best = (2 * y) * hw + 2 * x;
+                for (std::size_t dy = 0; dy < 2; ++dy) {
+                  for (std::size_t dx = 0; dx < 2; ++dx) {
+                    const std::size_t idx = (2 * y + dy) * hw + 2 * x + dx;
+                    if (src[idx] > src[best]) best = idx;
+                  }
                 }
+                dst[y * oh + x] = src[best];
               }
-              dst[y * oh + x] = src[best];
             }
           }
-        }
+        });
       };
       if (vo.dtype == DType::kU8) {
         pool2x2(static_cast<const std::uint8_t*>(in0), static_cast<std::uint8_t*>(out));

@@ -180,24 +180,6 @@ TEST(PackedGemm, CompensationRecoversSignedResult) {
   }
 }
 
-TEST(PackedGemm, ParallelMatchesSerial) {
-  ThreadPool pool(4);
-  const std::size_t n = 50, cdim = 64, k = 64;
-  Rng rng(8);
-  AlignedBuffer<std::uint8_t> a(n * cdim);
-  AlignedBuffer<std::int8_t> b(cdim * k);
-  fill_random_u8(rng, a.data(), a.size());
-  fill_random_s8(rng, b.data(), b.size());
-  AlignedBuffer<std::int8_t> bp((cdim / 4) * k * 4);
-  pack_b_vpdpbusd(b.data(), cdim, k, bp.data());
-  AlignedBuffer<std::int32_t> serial(n * k), parallel(n * k);
-  Int8GemmBlocking blk;
-  int8_gemm_packed(a.data(), cdim, bp.data(), nullptr, serial.data(), k, n, cdim, k, blk);
-  int8_gemm_packed(a.data(), cdim, bp.data(), nullptr, parallel.data(), k, n, cdim, k, blk,
-                   &pool);
-  for (std::size_t i = 0; i < serial.size(); ++i) ASSERT_EQ(serial[i], parallel[i]);
-}
-
 // ---------------------------------------------------------------------------
 // Batched GEMM through the blocked layouts.
 struct BatchedCase {

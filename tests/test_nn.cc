@@ -6,8 +6,11 @@
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
+#include "common/cpu_features.h"
 #include "common/rng.h"
 #include "nn/dataset.h"
 #include "nn/engines.h"
@@ -434,6 +437,103 @@ TEST(Fp32DirectEngine, BitIdenticalToConvLayerForwardOnStemShapes) {
       engine->run(in.span(), out.span(), &pool);
       EXPECT_EQ(0, std::memcmp(out.data(), ref.data(), out.size() * sizeof(float)))
           << "C=" << c << " K=" << k;
+    }
+  }
+}
+
+// The GEMM-based direct engines (kFp32Direct, kInt8Direct, kInt8Conv1x1) run
+// each call as one region of (image x row-block) tasks. Every output element
+// keeps its arithmetic under any split, so runs on 1, 3 and 4 threads, with
+// pool = nullptr and on the scalar (non-AVX-512) kernels agree bit for bit —
+// including row counts that are not a multiple of the row block, u8 input and
+// output, and fused +sum / +sum_u8 / ReLU epilogues.
+TEST(DirectFamilyEngines, PoolAndSerialRunsBitIdentical) {
+  const auto desc = [](std::size_t c, std::size_t k, std::size_t hw, std::size_t r,
+                       std::size_t stride) {
+    ConvDesc d;
+    d.batch = 3;
+    d.in_channels = c;
+    d.out_channels = k;
+    d.height = d.width = hw;
+    d.kernel = r;
+    d.pad = r / 2;
+    d.stride = stride;
+    return d;
+  };
+  const std::pair<EngineKind, ConvDesc> cases[] = {
+      {EngineKind::kFp32Direct, desc(1, 20, 7, 3, 1)},
+      {EngineKind::kFp32Direct, desc(3, 32, 13, 3, 1)},  // 169 rows: a full + a partial block
+      {EngineKind::kInt8Direct, desc(16, 24, 7, 3, 1)},
+      {EngineKind::kInt8Direct, desc(20, 40, 13, 3, 2)},
+      {EngineKind::kInt8Direct, desc(5, 17, 13, 3, 1)},
+      {EngineKind::kInt8Conv1x1, desc(24, 48, 15, 1, 2)},
+      {EngineKind::kInt8Conv1x1, desc(30, 33, 13, 1, 1)},
+  };
+  ThreadPool pool1(1), pool3(3), pool4(4);
+  ThreadPool* const pools[] = {&pool1, &pool3, &pool4};
+  for (const auto& [kind, d] : cases) {
+    const EngineCaps caps = engine_caps(kind, d);
+    ASSERT_TRUE(caps.supports) << d.to_string();
+    const std::size_t in_n = d.batch * d.in_channels * d.height * d.width;
+    const std::size_t out_n = d.batch * d.out_channels * d.out_height() * d.out_width();
+    Rng rng(d.in_channels * 131 + d.out_channels);
+    std::vector<float> in(in_n), w(d.out_channels * d.in_channels * d.kernel * d.kernel);
+    std::vector<float> bias(d.out_channels), res(out_n);
+    std::vector<std::uint8_t> res8(out_n), in8(in_n);
+    for (auto& v : in) v = rng.uniform(-1.0f, 1.0f);
+    for (auto& v : w) v = rng.normal() * 0.1f;
+    for (auto& v : bias) v = rng.uniform(-0.2f, 0.2f);
+    for (auto& v : res) v = rng.uniform(-1.0f, 1.0f);
+    for (auto& v : res8) v = static_cast<std::uint8_t>(rng.next_u64() & 0xFF);
+    const QuantParams in_qp = QuantParams::from_threshold(1.0f);
+    const QuantParams out_qp = QuantParams::from_threshold(2.0f);
+    quantize_u8_shift128(in, in_qp.scale, in8);
+
+    for (const bool typed : {false, true}) {
+      if (typed && !caps.u8_handoff) continue;
+      for (int variant = 0; variant < 3; ++variant) {
+        PostOps post;
+        post.relu = true;
+        if (variant == 1) post.sum = res.data();
+        if (variant == 2) {
+          if (!caps.u8_handoff) continue;
+          post.sum_u8 = res8.data();
+          post.sum_u8_inv_scale = 0.01f;
+        }
+        auto engine = make_conv_engine(kind, d);
+        if (caps.quantized) {
+          engine->calibrate(in);
+          engine->finalize_calibration();
+        }
+        engine->set_filters(w, bias);
+        if (typed) {
+          engine->set_input_u8(in_qp);
+          engine->set_output_u8(out_qp);
+        }
+        // The output's raw bytes: u8 for a typed run, FP32 otherwise.
+        const auto run = [&](ThreadPool* pool) {
+          if (typed) {
+            std::vector<std::uint8_t> out(out_n);
+            engine->run_typed(in8.data(), out.data(), pool, post);
+            return out;
+          }
+          std::vector<float> out(out_n);
+          engine->run(in, out, pool, post);
+          const auto* bytes = reinterpret_cast<const std::uint8_t*>(out.data());
+          return std::vector<std::uint8_t>(bytes, bytes + out_n * sizeof(float));
+        };
+        const std::vector<std::uint8_t> serial = run(nullptr);
+        const std::string what = std::string(engine_token(kind)) + " " + d.to_string() +
+                                 (typed ? " u8" : " f32") + " post" + std::to_string(variant);
+        for (ThreadPool* pool : pools) {
+          EXPECT_EQ(serial, run(pool)) << what << " threads=" << pool->num_threads();
+        }
+        CpuFeatures scalar;
+        override_cpu_features_for_test(&scalar);
+        const std::vector<std::uint8_t> scalar_out = run(&pool3);
+        override_cpu_features_for_test(nullptr);
+        EXPECT_EQ(serial, scalar_out) << what << " scalar kernels";
+      }
     }
   }
 }

@@ -111,6 +111,8 @@ void LoWinoConvolution::finalize_calibration() {
   if (calibrator_.empty()) {
     throw std::logic_error("finalize_calibration called before calibrate()");
   }
+  // The KL threshold search is most of a LoWino engine's set-up time.
+  ProfileSpan span(ProfileStage::kCalibration);
   calibrator_.finalize_into(scales_);
   input_scales_set_ = true;
   maybe_build_dequant();

@@ -53,7 +53,7 @@ enum class ProfileStage : std::uint8_t {
   kInputTransform,  ///< input transform + quantization (incl. the V scatter)
   kGemm,            ///< batched INT8 GEMM (incl. the Z scatter)
   kOutputTransform, ///< de-quant + output transform incl. any fused epilogue
-  kCalibration,     ///< Winograd-domain statistics collection
+  kCalibration,     ///< Winograd-domain statistics collection + KL threshold search
   kTunerTrial,      ///< one auto-tuner candidate measurement
   kServe,           ///< one serving op inside InferenceSession::run
   kPostOps,         ///< a standalone (unfused) element-wise ReLU/sum pass

@@ -444,5 +444,23 @@ TEST(ProfileAccuracy, FusedModeYieldsPerStageSplit) {
   }
 }
 
+// The KL threshold search in finalize_calibration() dominates a LoWino
+// engine's set-up, so it is credited to the calibration stage next to the
+// statistics collection.
+TEST(ProfileAccuracy, FinalizeCalibrationIsACalibrationSpan) {
+  ProfilerGuard guard;
+  const ConvDesc d = make_desc(1, 16, 16, 12);
+  LoWinoConfig cfg;
+  cfg.m = 4;
+  LoWinoConvolution conv(d, cfg);
+  std::vector<float> in(d.batch * d.in_channels * d.height * d.width);
+  for (std::size_t i = 0; i < in.size(); ++i) in[i] = static_cast<float>(i % 17) - 8.0f;
+  conv.calibrate(in);
+  profiler_set_enabled(true);
+  conv.finalize_calibration();
+  EXPECT_EQ(stage_spans(ProfileStage::kCalibration), 1u);
+  EXPECT_GT(stage_seconds(ProfileStage::kCalibration), 0.0);
+}
+
 }  // namespace
 }  // namespace lowino

@@ -1,9 +1,16 @@
 // Tests for tensors, the Table-1 blocked layouts, and NCHW packing.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <stdexcept>
+#include <string>
 #include <tuple>
+#include <type_traits>
+#include <utility>
+#include <vector>
 
+#include "common/cpu_features.h"
 #include "common/rng.h"
 #include "parallel/thread_pool.h"
 #include "tensor/conv_desc.h"
@@ -239,6 +246,109 @@ TEST(PackWithThreadPool, MatchesSerial) {
     ASSERT_EQ(serial[i], parallel[i]);
   }
 }
+
+// Layout conversion sweep: C x plane x batch x pool. The vector kernels, the
+// scalar fallback (forced through the CPU-feature override) and a test-local
+// reference must agree bit for bit. f32 inputs are random bit patterns (NaN
+// payloads, -0.0, denormals included), since the conversion only moves data.
+using ConversionCase = std::tuple<int, std::pair<int, int>, int, int>;  // C, HxW, batch, threads
+
+class LayoutConversion : public ::testing::TestWithParam<ConversionCase> {
+ protected:
+  template <typename T>
+  void check(T pad) {
+    const auto [c_, hw_, b_, threads] = GetParam();
+    const std::size_t c = c_, h = hw_.first, w = hw_.second, b = b_, plane = h * w;
+    const std::size_t n = b * c * plane;
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+
+    Rng rng(n * 131 + c);
+    std::vector<T> src(n);
+    for (T& v : src) {
+      const std::uint64_t bits = rng.next_u64();
+      std::memcpy(&v, &bits, sizeof(T));
+    }
+    // Reference: value (b, c, p) at block cb = c / 64, lane c % 64.
+    const BlockedActLayout layout(b, c, h, w);
+    std::vector<T> ref(layout.size(), pad);
+    for (std::size_t bi = 0; bi < b; ++bi) {
+      for (std::size_t ci = 0; ci < c; ++ci) {
+        for (std::size_t p = 0; p < plane; ++p) {
+          ref[layout.offset(bi, ci / kChanBlock, p / w, p % w) + ci % kChanBlock] =
+              src[(bi * c + ci) * plane + p];
+        }
+      }
+    }
+
+    const auto same = [](const T* a, const T* b, std::size_t count) {
+      return std::memcmp(a, b, count * sizeof(T)) == 0;
+    };
+    const auto run_pack = [&](const char* path) {
+      std::vector<T> blocked(layout.size());
+      std::memset(blocked.data(), 0xCD, blocked.size() * sizeof(T));  // every lane is written
+      if constexpr (std::is_same_v<T, float>) {
+        pack_nchw_to_blocked(src, b, c, h, w, blocked, pool.get());
+      } else {
+        pack_nchw_u8_to_blocked(src, b, c, h, w, blocked, pool.get());
+      }
+      EXPECT_TRUE(same(blocked.data(), ref.data(), ref.size())) << path << " pack";
+      for (std::size_t bi = 0; bi < b; ++bi) {
+        for (std::size_t ci = c; ci < layout.chan_blocks * kChanBlock; ++ci) {
+          for (std::size_t p = 0; p < plane; ++p) {
+            const T got = blocked[layout.offset(bi, ci / kChanBlock, p / w, p % w) +
+                                  ci % kChanBlock];
+            ASSERT_TRUE(same(&got, &pad, 1)) << path << " padding lane " << ci << " pixel " << p;
+          }
+        }
+      }
+    };
+    const auto run_unpack = [&](const char* path) {
+      // Guard regions before and after the NCHW output must stay untouched.
+      constexpr std::size_t kGuard = 97;
+      std::vector<T> out(kGuard + n + kGuard);
+      std::memset(out.data(), 0xA5, out.size() * sizeof(T));
+      const std::vector<T> canary(kGuard, out.front());
+      const std::span<T> dst(out.data() + kGuard, n);
+      if constexpr (std::is_same_v<T, float>) {
+        unpack_blocked_to_nchw(ref, b, c, h, w, dst, pool.get());
+      } else {
+        unpack_blocked_u8_to_nchw(ref, b, c, h, w, dst, pool.get());
+      }
+      EXPECT_TRUE(same(dst.data(), src.data(), n)) << path << " unpack";
+      EXPECT_TRUE(same(out.data(), canary.data(), kGuard)) << path << " guard before";
+      EXPECT_TRUE(same(out.data() + kGuard + n, canary.data(), kGuard)) << path << " guard after";
+    };
+
+    run_pack("vector");
+    run_unpack("vector");
+    const CpuFeatures scalar;
+    override_cpu_features_for_test(&scalar);
+    run_pack("scalar");
+    run_unpack("scalar");
+    override_cpu_features_for_test(nullptr);
+  }
+};
+
+TEST_P(LayoutConversion, F32) { check<float>(0.0f); }
+TEST_P(LayoutConversion, U8) { check<std::uint8_t>(128); }
+
+std::string conversion_case_name(const ::testing::TestParamInfo<ConversionCase>& info) {
+  const auto [c, hw, b, threads] = info.param;
+  return "c" + std::to_string(c) + "_" + std::to_string(hw.first) + "x" +
+         std::to_string(hw.second) + "_b" + std::to_string(b) + "_t" + std::to_string(threads);
+}
+
+// 320x4 is longer than one pixel-range task; 33x31 leaves 16- and 64-pixel
+// tails; C = 1, 40, 72 and 130 leave partly or wholly padded 16-channel groups.
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, LayoutConversion,
+    ::testing::Combine(::testing::Values(1, 40, 64, 72, 130),
+                       ::testing::Values(std::make_pair(1, 1), std::make_pair(7, 7),
+                                         std::make_pair(13, 13), std::make_pair(33, 31),
+                                         std::make_pair(320, 4)),
+                       ::testing::Values(1, 3), ::testing::Values(0, 1, 3, 4)),
+    conversion_case_name);
 
 TEST(TransformedInputLayout, OffsetsAreUniqueAndInBounds) {
   const TransformedInputLayout l(/*total_tiles=*/10, /*padded_c=*/128, /*t=*/16,
